@@ -3,20 +3,23 @@
 //
 // Two acceptance claims:
 //
-//   1. Throughput: running the full scenario catalog through
-//      CampaignRunner at T threads beats the serial per-scenario loop
-//      (fresh ScenarioRunner + run_all(1) per scenario — the pre-campaign
-//      driver shape) by >= 2.5x at 4 threads on 4+ cores, while the
-//      report's deterministic payload stays BYTE-identical for any
-//      thread count (verified on every run).
+//   1. Throughput: the full scenario catalog plus a many-repetition
+//      fast-prune mesh entry (node Prune on a side x side mesh at
+//      p = 0.3: the embarrassingly parallel repetition shape) scales
+//      with CampaignRunner threads — >= 2.5x at 4 threads vs the same
+//      campaign at 1 thread on 4+ cores — while the report's
+//      deterministic payload stays BYTE-identical for any thread count
+//      (verified on every run).  CampaignPlan is the only scheduler, so
+//      the campaign at threads = 1 is the serial baseline.
 //
 //   2. Monotone sweeps: chaining a declared-monotone fault sweep
 //      (survivors of p_low feed p_high) cuts engine cull work >= 1.5x
 //      vs independent points (EngineStats-verified) and reproduces the
 //      independent survivors bit for bit in deterministic mode.
 //
-// Flags: --reps=N (default 4: catalog repetitions), --threads=N
-// (default: hardware), --side=N (monotone sweep mesh side, default 32),
+// Flags: --reps=N (default 4: catalog repetitions; the mesh entry runs
+// 10 x N), --threads=N (default: hardware), --side=N (side of the
+// repetition mesh and of the monotone sweep mesh, default 32),
 // --min-speedup=X (sanity floor on the measured campaign speedup; the
 // default 0.8 tolerates pure pool overhead on 1-core CI machines but
 // fails a real regression), --min-cullwork-ratio=X (default 1.5),
@@ -27,8 +30,25 @@
 #include <thread>
 
 #include "api/campaign.hpp"
-#include "api/runner.hpp"
 #include "store/result_store.hpp"
+
+namespace fne {
+namespace {
+
+/// Run a one-entry sweep campaign on one thread; returns its entry and
+/// wall time.
+[[nodiscard]] ScenarioReport run_sweep(const Scenario& s, SweepSpec sweep, double& millis) {
+  Campaign campaign;
+  campaign.name = "s4-sweep";
+  campaign.entries.push_back({s, std::move(sweep)});
+  Timer timer;
+  ScenarioReport report = CampaignRunner(std::move(campaign)).run(1).scenarios.front();
+  millis = timer.millis();
+  return report;
+}
+
+}  // namespace
+}  // namespace fne
 
 int main(int argc, char** argv) {
   using namespace fne;
@@ -54,44 +74,37 @@ int main(int argc, char** argv) {
       .put("omp_threads", bench::max_threads());
 
   // -------------------------------------------------------------------------
-  // 1. Catalog campaign vs the serial per-scenario loop.
+  // 1. Catalog + repetition-mesh campaign: scaling over threads.
   // -------------------------------------------------------------------------
   Campaign catalog = catalog_campaign(reps);
   for (CampaignEntry& e : catalog.entries) e.scenario.seed += seed;  // --seed shifts the study
-  std::cout << "catalog: " << catalog.entries.size() << " scenarios x " << reps
-            << " repetitions, " << hw << " hardware threads\n\n";
-
-  // The pre-campaign driver shape: one scenario at a time, one engine
-  // lineage, no cross-scenario scheduling.  Cold cache for a fair start.
-  EngineCache::instance().clear();
-  Timer timer;
-  std::size_t serial_runs = 0;
-  for (const CampaignEntry& e : catalog.entries) {
-    ScenarioRunner runner(e.scenario);
-    serial_runs += runner.run_all(1).size();
-  }
-  const double serial_ms = timer.millis();
+  Scenario mesh;
+  mesh.name = "parallel-mesh";
+  mesh.topology = {"mesh", Params().set("side", static_cast<std::int64_t>(side))};
+  mesh.fault = {"random", Params().set("p", 0.3)};
+  mesh.prune.kind = ExpansionKind::Node;
+  mesh.prune.alpha = 2.0 / static_cast<double>(side);
+  mesh.prune.fast = true;
+  mesh.repetitions = 10 * reps;
+  mesh.seed = seed;
+  catalog.entries.push_back({mesh, std::nullopt});
+  std::cout << "catalog: " << catalog.entries.size() - 1 << " scenarios x " << reps
+            << " repetitions + mesh " << side << "x" << side << " x " << mesh.repetitions
+            << " fast-prune repetitions, " << hw << " hardware threads\n\n";
 
   CampaignRunner campaign_runner(catalog);
   EngineCache::instance().clear();
-  timer.reset();
+  Timer timer;
   const CampaignReport serial_report = campaign_runner.run(1);
   const double campaign1_ms = timer.millis();
   const std::string payload = serial_report.to_json(/*include_timing=*/false);
 
-  Table scaling({"driver", "threads", "total ms", "speedup vs loop", "payload identical"});
-  scaling.row().cell("serial loop").cell(1).cell(serial_ms, 1).cell(1.0, 2).cell("-");
-  scaling.row()
-      .cell("campaign")
-      .cell(1)
-      .cell(campaign1_ms, 1)
-      .cell(serial_ms / campaign1_ms, 2)
-      .cell("yes");
-  json.record("scaling").put("driver", "serial_loop").put("threads", 1).put("millis", serial_ms);
-  json.record("scaling").put("driver", "campaign").put("threads", 1).put("millis", campaign1_ms);
+  Table scaling({"threads", "total ms", "speedup vs 1 thread", "payload identical"});
+  scaling.row().cell(1).cell(campaign1_ms, 1).cell(1.0, 2).cell("-");
+  json.record("scaling").put("threads", 1).put("millis", campaign1_ms).put("speedup", 1.0);
 
   bool payload_identical = true;
-  double best_speedup = serial_ms / campaign1_ms;
+  double best_speedup = 0.0;  // only measured (and payload-identical) runs count
   std::vector<int> counts{2};
   if (threads > 2) counts.push_back(threads);
   for (const int t : counts) {
@@ -101,17 +114,15 @@ int main(int argc, char** argv) {
     const double ms = timer.millis();
     const bool same = report.to_json(false) == payload;
     payload_identical = payload_identical && same;
-    const double speedup = ms > 0.0 ? serial_ms / ms : 0.0;
+    const double speedup = ms > 0.0 ? campaign1_ms / ms : 0.0;
     if (same) best_speedup = std::max(best_speedup, speedup);
-    scaling.row().cell("campaign").cell(t).cell(ms, 1).cell(speedup, 2).cell(bench::yesno(same));
-    json.record("scaling").put("driver", "campaign").put("threads", t).put("millis", ms).put(
-        "speedup", speedup);
+    scaling.row().cell(t).cell(ms, 1).cell(speedup, 2).cell(bench::yesno(same));
+    json.record("scaling").put("threads", t).put("millis", ms).put("speedup", speedup);
   }
   bench::print_table(scaling,
-                     "speedup = serial per-scenario loop time / campaign wall time; the\n"
-                     "deterministic payload (to_json without timing) must match at every T.");
-  std::cout << "serial loop runs: " << serial_runs
-            << ", campaign runs: " << serial_report.total_engine_stats().runs << "\n";
+                     "speedup = campaign wall time at 1 thread / at T threads (cold cache\n"
+                     "each); the deterministic payload (to_json without timing) must match.");
+  std::cout << "campaign runs: " << serial_report.total_engine_stats().runs << "\n";
 
   // -------------------------------------------------------------------------
   // 2. Monotone sweep vs independent points.
@@ -126,22 +137,18 @@ int main(int argc, char** argv) {
   const std::vector<double> values = cli.get_double_list(
       "sweep-values", "0.05,0.1,0.15,0.2,0.25,0.3,0.35");
 
-  ScenarioRunner indep_runner(sweep);
-  timer.reset();
-  const std::vector<ScenarioRun> indep = indep_runner.sweep_fault_param("p", values);
-  const double indep_ms = timer.millis();
-  const EngineStats indep_stats = indep_runner.total_engine_stats();
+  double indep_ms = 0.0;
+  double mono_ms = 0.0;
+  const ScenarioReport indep =
+      run_sweep(sweep, SweepSpec{"p", values, SweepMode::kIndependent}, indep_ms);
+  const ScenarioReport mono =
+      run_sweep(sweep, SweepSpec{"p", values, SweepMode::kMonotone}, mono_ms);
+  const EngineStats& indep_stats = indep.engine;
+  const EngineStats& mono_stats = mono.engine;
 
-  ScenarioRunner mono_runner(sweep);
-  timer.reset();
-  const std::vector<ScenarioRun> mono =
-      mono_runner.sweep_fault_param("p", values, 1, SweepMode::kMonotone);
-  const double mono_ms = timer.millis();
-  const EngineStats mono_stats = mono_runner.total_engine_stats();
-
-  bool parity = indep.size() == mono.size();
-  for (std::size_t i = 0; parity && i < indep.size(); ++i) {
-    parity = indep[i].prune.survivors == mono[i].prune.survivors;
+  bool parity = indep.runs.size() == mono.runs.size();
+  for (std::size_t i = 0; parity && i < indep.runs.size(); ++i) {
+    parity = indep.runs[i].prune.survivors == mono.runs[i].prune.survivors;
   }
   const double cullwork_ratio =
       mono_stats.iterations > 0

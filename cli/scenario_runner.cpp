@@ -1,26 +1,31 @@
-// scenario_runner — execute one fne::Scenario, a fault sweep, or a whole
-// Campaign from the command line.
+// scenario_runner — run fne Campaigns from the command line: a campaign
+// file, the built-in catalog, or one scenario described by flags.
 //
 // The CLI face of the scenario/campaign layers (DESIGN.md §6, §8): every
-// topology and fault model in the registries is reachable from flags,
-// and a JSON campaign file runs the full batch pipeline — scenario×rep
-// jobs on an ExecutorPool over the process-wide EngineCache.
+// topology and fault model in the registries is reachable from flags.
+// Every local run goes through ONE path — the ad-hoc scenario flags
+// build a one-entry Campaign (named after its scenario) and run exactly
+// like --campaign: CampaignRunner over the process-wide EngineCache,
+// the same store/payload/dist/JSON options, and the same output (a
+// summary row per entry, then each entry's runs table).
 //
 //   scenario_runner --list
 //       show registered topologies, fault models, and named scenarios
 //   scenario_runner --scenario=mesh-random [--reps=3] [--seed=7]
-//       run a named preset (overrides apply on top)
+//       run a named preset (overrides apply on top) as a one-entry
+//       campaign named "mesh-random"
 //   scenario_runner --topology=hypercube --topo-params=dims=8 \
 //       --fault=high_degree --fault-params=frac=0.1 \
 //       --kind=node --reps=3 --verify --expansion
-//       run an ad-hoc scenario
+//       run an ad-hoc scenario (a one-entry campaign named "ad-hoc")
 //   scenario_runner --scenario=mesh-random --metrics=mesh_span,embedding_quality
 //       additionally compute registered metrics (api/metrics.hpp) at
 //       their default params; see --list for names
 //   scenario_runner --scenario=mesh-random --sweep=p \
 //       --sweep-values=0.05,0.15,0.25 [--sweep-mode=monotone]
-//       sweep one fault param (monotone mode chains survivors downward —
-//       the fault model must declare the param monotone, see --list)
+//       sweep one fault param: the entry's SweepSpec (monotone mode
+//       chains survivors downward — the fault model must declare the
+//       param monotone, see --list; checked before any job runs)
 //   scenario_runner --campaign=campaigns/smoke.json [--threads=4]
 //       run every scenario of a campaign file; one aggregated report
 //   scenario_runner --campaign=catalog [--reps=2]
@@ -33,10 +38,11 @@
 //       the missing cells recompute.  --store-stats prints the hit/miss
 //       split afterwards.  --payload=FILE writes the DETERMINISTIC
 //       report payload (to_json(false)) for golden comparisons
-//       (reproduce/validate.sh).  All four are campaign-only flags.
+//       (reproduce/validate.sh).  Ad-hoc runs take all four too.
 //   scenario_runner --scenario=can-churn --churn-steps=40
-//       additionally drive ongoing churn, re-pruning every round through
-//       the runner's persistent engine
+//       additionally drive ongoing churn after the campaign, re-pruning
+//       every round through a ScenarioRunner's persistent engine
+//       (ad-hoc scenarios only; table output only)
 //   scenario_runner --campaign=FILE --serve[=PORT] [--workers=N]
 //       distributed execution (DESIGN.md §12): serve the campaign's jobs
 //       to TCP workers (bare --serve picks an ephemeral port, printed to
@@ -89,14 +95,14 @@
 // for any requested metric that declares the knob; see DESIGN.md §10),
 // --threads=N (shard jobs across the engine pool; results are
 // bit-identical for any N — see DESIGN.md §7/§8), --csv (emit CSV
-// instead of the aligned table), --json[=path] (machine-readable runs:
-// bare --json replaces ALL tables on stdout with one JSON document,
-// --json=path keeps the tables and writes the file), --stats (engine
-// telemetry after the runs; table form only), --cache-budget=MB (byte
-// budget for the process EngineCache; LRU-evicts idle entries, results
-// unchanged), --cache-stats (cache counters + residency after the run).
+// instead of the aligned tables), --json[=path] (the CampaignReport,
+// to_json() with timing: bare --json replaces ALL tables on stdout with
+// that one document, --json=path keeps the tables and writes the file),
+// --stats (engine totals after the runs; table form only),
+// --cache-budget=MB (byte budget for the process EngineCache; LRU-evicts
+// idle entries, results unchanged), --cache-stats (cache counters +
+// residency after the run).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -119,7 +125,6 @@
 #include "service/service.hpp"
 #include "store/result_store.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "util/require.hpp"
 #include "util/table.hpp"
 
@@ -364,8 +369,29 @@ void print_cache_stats(std::ostream& out) {
       << " budget_bytes=" << EngineCache::instance().budget_bytes() << "\n";
 }
 
-int run_campaign(const Cli& cli) {
-  const std::string spec = cli.get("campaign", "");
+/// The campaign this invocation runs: --campaign=FILE|catalog, or the
+/// ad-hoc scenario flags (--scenario/--topology/.../--sweep*) as a
+/// one-entry campaign named after its scenario — so a file holding that
+/// one entry under the same name yields the same payload.
+[[nodiscard]] Campaign campaign_from_cli(const Cli& cli) {
+  if (!cli.has("campaign")) {
+    CampaignEntry entry{scenario_from_cli(cli), std::nullopt};
+    if (cli.has("sweep")) {
+      SweepSpec sweep;
+      sweep.param = cli.get("sweep", "");
+      sweep.values = cli.get_double_list("sweep-values", "");
+      FNE_REQUIRE(!sweep.values.empty(), "--sweep needs --sweep-values=a,b,c");
+      const std::string mode = cli.get("sweep-mode", "independent");
+      FNE_REQUIRE(mode == "independent" || mode == "monotone",
+                  "--sweep-mode must be independent or monotone");
+      sweep.mode = mode == "monotone" ? SweepMode::kMonotone : SweepMode::kIndependent;
+      entry.sweep = std::move(sweep);
+    }
+    Campaign campaign;
+    campaign.name = entry.scenario.name;
+    campaign.entries.push_back(std::move(entry));
+    return campaign;
+  }
   // Scenario-level flags have no campaign meaning (the file/preset owns
   // the scenario fields) — reject them loudly rather than silently
   // returning results the flags did not influence.
@@ -377,17 +403,78 @@ int run_campaign(const Cli& cli) {
                                     " does not apply to --campaign; set it in the campaign "
                                     "file (or run a single scenario)");
   }
+  const std::string spec = cli.get("campaign", "");
   FNE_REQUIRE(spec == "catalog" || !cli.has("reps"),
               "--reps only applies to --campaign=catalog; file campaigns declare "
               "repetitions per scenario");
-  Campaign campaign = spec == "catalog"
-                          ? catalog_campaign(static_cast<int>(cli.get_int("reps", 1)))
-                          : campaign_from_file(spec);
+  return spec == "catalog" ? catalog_campaign(static_cast<int>(cli.get_int("reps", 1)))
+                           : campaign_from_file(spec);
+}
+
+/// The human-readable report: one summary row per entry, then each
+/// entry's runs table under a one-line description of its scenario.
+void print_report(const CampaignReport& report, bool csv) {
+  const auto emit = [&](const Table& table) {
+    if (csv) {
+      table.write_csv(std::cout);
+    } else {
+      table.print(std::cout);
+    }
+  };
+  std::cout << "campaign: " << report.name << " — " << report.scenarios.size()
+            << " scenarios, " << report.threads
+            << (report.threads == 1 ? " thread" : " threads") << ", " << report.millis
+            << " ms\n\n";
+  Table summary({"scenario", "topology", "n", "runs", "mean |H|/n", "culled", "engine iters",
+                 "eigensolves", "ms"});
+  for (const ScenarioReport& s : report.scenarios) {
+    double frac = 0.0;
+    std::uint64_t culled = 0;
+    for (const ScenarioRun& r : s.runs) {
+      frac += r.survivor_fraction(s.n);
+      culled += r.prune.total_culled;
+    }
+    if (!s.runs.empty()) frac /= static_cast<double>(s.runs.size());
+    summary.row()
+        .cell(s.scenario.name)
+        .cell(s.scenario.topology.name)
+        .cell(std::size_t{s.n})
+        .cell(s.runs.size())
+        .cell(frac, 3)
+        .cell(culled)
+        .cell(s.engine.iterations)
+        .cell(s.engine.eigensolves)
+        .cell(s.millis, 1);
+  }
+  emit(summary);
+  for (const ScenarioReport& s : report.scenarios) {
+    const Scenario& sc = s.scenario;
+    std::cout << "\n"
+              << sc.name << ": " << sc.topology.name
+              << (sc.topology.params.empty() ? "" : " (" + sc.topology.params.to_string() + ")")
+              << ", fault " << sc.fault.name
+              << (sc.fault.params.empty() ? "" : " (" + sc.fault.params.to_string() + ")")
+              << ", " << (sc.prune.kind == ExpansionKind::Node ? "Prune (node)" : "Prune2 (edge)")
+              << " alpha=" << s.alpha << " eps=" << s.epsilon
+              << (sc.prune.fast ? " [fast]" : "") << "\n";
+    emit(runs_table(s));
+  }
+}
+
+int run_campaign(const Cli& cli) {
+  Campaign campaign = campaign_from_cli(cli);
   if (cli.has("connect")) return run_worker(cli, std::move(campaign));
   FNE_REQUIRE(!cli.has("workers") || cli.has("serve"), "--workers needs --serve");
   const int threads = cli.get_threads(1);
+  // Bare `--json` parses as the value "1": JSON replaces the tables on
+  // stdout.  `--json=path` keeps the tables and writes the file.
   const std::string json_path = cli.get("json", "");
   const bool json_to_stdout = json_path == "1";
+  // --churn-steps: the ad-hoc scenario, re-pruned every churn round on a
+  // runner's persistent engine after the campaign (table output only).
+  const auto churn_steps = static_cast<int>(cli.get_int("churn-steps", 0));
+  std::optional<Scenario> churn_scenario;
+  if (churn_steps > 0 && !json_to_stdout) churn_scenario = campaign.entries.front().scenario;
 
   // --store=DIR / --resume: route the run through a ResultStore.
   // --resume is the convenience spelling with a conventional directory,
@@ -444,45 +531,43 @@ int run_campaign(const Cli& cli) {
   }();
 
   if (!json_to_stdout) {
-    std::cout << "campaign: " << report.name << " — " << report.scenarios.size()
-              << " scenarios, " << threads << (threads == 1 ? " thread" : " threads") << ", "
-              << report.millis << " ms\n\n";
-    Table table({"scenario", "topology", "n", "runs", "mean |H|/n", "culled", "engine iters",
-                 "eigensolves", "ms"});
-    for (const ScenarioReport& s : report.scenarios) {
-      double frac = 0.0;
-      std::uint64_t culled = 0;
-      for (const ScenarioRun& r : s.runs) {
-        frac += r.survivor_fraction(s.n);
-        culled += r.prune.total_culled;
-      }
-      if (!s.runs.empty()) frac /= static_cast<double>(s.runs.size());
-      table.row()
-          .cell(s.scenario.name)
-          .cell(s.scenario.topology.name)
-          .cell(std::size_t{s.n})
-          .cell(s.runs.size())
-          .cell(frac, 3)
-          .cell(culled)
-          .cell(s.engine.iterations)
-          .cell(s.engine.eigensolves)
-          .cell(s.millis, 1);
-    }
-    if (cli.has("csv")) {
-      table.write_csv(std::cout);
-    } else {
-      table.print(std::cout);
-    }
+    print_report(report, cli.has("csv"));
     if (cli.has("stats")) {
       const EngineStats st = report.total_engine_stats();
       std::cout << "\nengine totals: runs=" << st.runs << " iters=" << st.iterations
-                << " eigensolves=" << st.eigensolves << " stale_hits=" << st.stale_sweep_hits
+                << " eigensolves=" << st.eigensolves << " stale_sweeps=" << st.stale_sweeps
+                << " stale_hits=" << st.stale_sweep_hits
                 << " disconnected=" << st.disconnected_culls
-                << "\ncache: leases=" << report.cache.leases
-                << " engine_hits=" << report.cache.engine_hits
-                << " engine_builds=" << report.cache.engine_builds
-                << " graph_builds=" << report.cache.graph_builds << "\n";
+                << " relabel_bfs=" << st.relabel_bfs_calls
+                << " relabel_verts=" << st.relabel_bfs_vertices << "\n";
     }
+  }
+  if (churn_scenario.has_value()) {
+    ScenarioRunner runner(*churn_scenario);
+    ChurnOptions copts;
+    copts.steps = churn_steps;
+    copts.p_leave = cli.get_double("p-leave", copts.p_leave);
+    copts.p_join = cli.get_double("p-join", copts.p_join);
+    copts.seed = churn_scenario->seed + 17;
+    const ChurnRunTrace trace = runner.run_churn(copts);
+    std::cout << "\nchurn (" << churn_steps << " rounds, p_leave=" << copts.p_leave
+              << ", p_join=" << copts.p_join << "), re-pruned per round on one engine:\n";
+    Table churn({"round", "alive", "gamma", "|H|", "culled", "iters", "prune ms"});
+    const int stride = std::max(1, churn_steps / 10);
+    for (std::size_t i = 0; i < trace.rounds.size(); ++i) {
+      if (static_cast<int>(i) % stride != 0 && i + 1 != trace.rounds.size()) continue;
+      const ChurnRoundRun& r = trace.rounds[i];
+      churn.row()
+          .cell(std::size_t{i})
+          .cell(std::size_t{r.churn.alive_count})
+          .cell(r.churn.gamma, 3)
+          .cell(std::size_t{r.survivors})
+          .cell(std::size_t{r.culled})
+          .cell(r.iterations)
+          .cell(r.prune_millis, 2);
+    }
+    churn.print(std::cout);
+    std::cout << "total per-round prune time: " << trace.total_prune_millis() << " ms\n";
   }
   if (dist_stats) {
     std::ostream& out = json_to_stdout ? std::cerr : std::cout;
@@ -541,167 +626,7 @@ int run(const Cli& cli) {
     EngineCache::instance().set_budget_bytes(
         static_cast<std::uint64_t>(cli.get_int("cache-budget", 0)) << 20);
   }
-  if (cli.has("campaign")) return run_campaign(cli);
-
-  // The result store keys CAMPAIGN cells; a single-scenario run has no
-  // store semantics, so reject the flags loudly rather than silently
-  // running without them.
-  for (const char* flag : {"store", "resume", "store-stats", "payload", "serve", "connect",
-                           "workers"}) {
-    FNE_REQUIRE(!cli.has(flag),
-                std::string("--") + flag + " only applies to --campaign runs");
-  }
-
-  Scenario scenario = scenario_from_cli(cli);
-  const int threads = cli.get_threads(1);
-  // Bare `--json` parses as the value "1": JSON replaces the table on
-  // stdout.  `--json=path` keeps the table and writes the file.
-  const std::string json_path = cli.get("json", "");
-  const bool json_to_stdout = json_path == "1";
-
-  ScenarioRunner runner(std::move(scenario));
-  const Scenario& s = runner.scenario();
-  if (!json_to_stdout) {
-    std::cout << "scenario: " << s.name << "\n"
-              << "topology: " << s.topology.name
-              << (s.topology.params.empty() ? "" : " (" + s.topology.params.to_string() + ")")
-              << " — " << runner.graph().summary() << "\n"
-              << "fault:    " << s.fault.name
-              << (s.fault.params.empty() ? "" : " (" + s.fault.params.to_string() + ")") << "\n"
-              << "prune:    " << (s.prune.kind == ExpansionKind::Node ? "Prune (node)"
-                                                                      : "Prune2 (edge)")
-              << "  alpha=" << runner.alpha() << "  eps=" << runner.epsilon()
-              << "  threshold=" << runner.alpha() * runner.epsilon()
-              << (s.prune.fast ? "  [fast]" : "")
-              << (threads > 1 ? "  threads=" + std::to_string(threads) : "") << "\n\n";
-  }
-
-  // Either a fault-param sweep (--sweep=key) or the scenario's own
-  // repetitions.
-  std::vector<ScenarioRun> runs;
-  std::vector<std::string> labels;
-  std::vector<double> sweep_values;
-  const bool sweeping = cli.has("sweep");
-  const std::string sweep_key = cli.get("sweep", "");
-  if (sweeping) {
-    sweep_values = cli.get_double_list("sweep-values", "");
-    FNE_REQUIRE(!sweep_values.empty(), "--sweep needs --sweep-values=a,b,c");
-    const std::string mode_name = cli.get("sweep-mode", "independent");
-    FNE_REQUIRE(mode_name == "independent" || mode_name == "monotone",
-                "--sweep-mode must be independent or monotone");
-    const SweepMode mode =
-        mode_name == "monotone" ? SweepMode::kMonotone : SweepMode::kIndependent;
-    runs = runner.sweep_fault_param(sweep_key, sweep_values, threads, mode);
-    for (const double v : sweep_values) {
-      labels.push_back(sweep_key + "=" + std::to_string(v).substr(0, 6));
-    }
-  } else {
-    runs = runner.run_all(threads);
-  }
-
-  if (!json_to_stdout) {
-    const Table table = runner.metrics_table(runs, labels);
-    if (cli.has("csv")) {
-      table.write_csv(std::cout);
-    } else {
-      table.print(std::cout);
-    }
-  }
-
-  if (!json_path.empty()) {
-    JsonReport report("scenario_runner");
-    report.top()
-        .put("scenario", s.name)
-        .put("topology", s.topology.name)
-        .put("fault", s.fault.name)
-        .put("kind", s.prune.kind == ExpansionKind::Node ? "node" : "edge")
-        .put("n", std::size_t{runner.graph().num_vertices()})
-        .put("alpha", runner.alpha())
-        .put("epsilon", runner.epsilon())
-        .put("fast", s.prune.fast)
-        .put("repetitions", s.repetitions)
-        .put("threads", threads)
-        .put("seed", s.seed);
-    if (sweeping) {
-      report.top().put("sweep", sweep_key).put_numbers("sweep_values", sweep_values);
-    }
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const ScenarioRun& r = runs[i];
-      auto& record = report.record("runs");
-      // Sweep rows carry their x-axis value; repetition rows their rep.
-      if (sweeping) record.put("value", sweep_values[i]);
-      record.put("rep", r.repetition)
-          .put("fault_seed", r.fault_seed)
-          .put("finder_seed", r.finder_seed)
-          .put("faults", std::size_t{r.faults})
-          .put("alive", std::size_t{r.alive.count()})
-          .put("survivors", std::size_t{r.prune.survivors.count()})
-          .put("culled", std::size_t{r.prune.total_culled})
-          .put("iterations", r.prune.iterations)
-          .put("millis", r.millis);
-      if (!r.metrics.empty()) {
-        JsonObject metrics_obj;
-        for (const MetricRecord& m : r.metrics) metrics_obj.put_json(m.name, m.payload);
-        record.put_json("metrics", metrics_obj.dump());
-      }
-    }
-    if (json_to_stdout) {
-      std::cout << report.dump() << "\n";
-    } else {
-      report.write(json_path);
-    }
-  }
-
-  const auto churn_steps = static_cast<int>(cli.get_int("churn-steps", 0));
-  if (churn_steps > 0 && !json_to_stdout) {
-    ChurnOptions copts;
-    copts.steps = churn_steps;
-    copts.p_leave = cli.get_double("p-leave", copts.p_leave);
-    copts.p_join = cli.get_double("p-join", copts.p_join);
-    copts.seed = s.seed + 17;
-    const ChurnRunTrace trace = runner.run_churn(copts);
-    std::cout << "\nchurn (" << churn_steps << " rounds, p_leave=" << copts.p_leave
-              << ", p_join=" << copts.p_join << "), re-pruned per round on one engine:\n";
-    Table churn({"round", "alive", "gamma", "|H|", "culled", "iters", "prune ms"});
-    const int stride = std::max(1, churn_steps / 10);
-    for (std::size_t i = 0; i < trace.rounds.size(); ++i) {
-      if (static_cast<int>(i) % stride != 0 && i + 1 != trace.rounds.size()) continue;
-      const ChurnRoundRun& r = trace.rounds[i];
-      churn.row()
-          .cell(std::size_t{i})
-          .cell(std::size_t{r.churn.alive_count})
-          .cell(r.churn.gamma, 3)
-          .cell(std::size_t{r.survivors})
-          .cell(std::size_t{r.culled})
-          .cell(r.iterations)
-          .cell(r.prune_millis, 2);
-    }
-    churn.print(std::cout);
-    std::cout << "total per-round prune time: " << trace.total_prune_millis() << " ms\n";
-  }
-
-  if (cli.has("stats") && !json_to_stdout) {
-    // Pooled total: the runner's primary engine plus every per-job lease
-    // — the same work total regardless of --threads.
-    const EngineStats st = runner.total_engine_stats();
-    std::cout << "\nengine telemetry (cumulative, " << threads
-              << (threads == 1 ? " thread):\n" : " threads, pooled):\n");
-    Table stats({"threads", "runs", "iters", "eigensolves", "stale sweeps", "stale hits",
-                 "disconnected culls", "relabel BFS", "relabel verts"});
-    stats.row()
-        .cell(threads)
-        .cell(st.runs)
-        .cell(st.iterations)
-        .cell(st.eigensolves)
-        .cell(st.stale_sweeps)
-        .cell(st.stale_sweep_hits)
-        .cell(st.disconnected_culls)
-        .cell(st.relabel_bfs_calls)
-        .cell(st.relabel_bfs_vertices);
-    stats.print(std::cout);
-  }
-  if (cli.has("cache-stats")) print_cache_stats(json_to_stdout ? std::cerr : std::cout);
-  return 0;
+  return run_campaign(cli);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // probability which is inversely polynomial in its dimension without
 // losing too much in its expansion properties."
 //
-// Scenario-layer version: one Scenario per dimension (topology "can" from
-// the registry), a fault-probability sweep through the runner's
-// persistent engine, then ongoing churn re-pruned every round through the
-// same engine (run_churn).
+// Scenario-layer version: a campaign with one entry per dimension
+// (topology "can" from the registry), each sweeping the fault
+// probability, then ongoing churn re-pruned every round through one
+// ScenarioRunner's persistent engine (run_churn).
 //
 //   ./example_p2p_can [--peers=256] [--seed=42]
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "api/campaign.hpp"
 #include "api/runner.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -27,10 +28,11 @@ int main(int argc, char** argv) {
   Table table({"dims", "avg degree", "alpha_e", "churn p", "|H|/n", "exp(H) [lo,up]",
                "retention up/alpha"});
 
-  const std::vector<double> churn_ps{0.05, 0.15};
+  // One entry = one overlay dimension.  alpha <= 0 means the runner
+  // measures the fault-free overlay's edge expansion (upper bracket).
+  Campaign campaign;
+  campaign.name = "can-churn-sweep";
   for (std::int64_t dims = 2; dims <= 4; ++dims) {
-    // One scenario = one overlay dimension.  alpha <= 0 means the runner
-    // measures the fault-free overlay's edge expansion (upper bracket).
     Scenario scenario;
     scenario.name = "can-d" + std::to_string(dims);
     scenario.topology = {"can", Params().set("peers", peers).set("dims", dims)};
@@ -38,25 +40,32 @@ int main(int argc, char** argv) {
     scenario.prune.kind = ExpansionKind::Edge;
     scenario.metrics.expansion = true;
     scenario.seed = seed + static_cast<std::uint64_t>(dims);
-
-    ScenarioRunner runner(scenario);
-    // Sweep the fault probability on the one persistent engine.
-    const std::vector<ScenarioRun> runs = runner.sweep_fault_param("p", churn_ps);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const ScenarioRun& run = runs[i];
+    campaign.entries.push_back({std::move(scenario), SweepSpec{"p", {0.05, 0.15}}});
+  }
+  const CampaignReport report = CampaignRunner(std::move(campaign)).run(1);
+  for (std::size_t e = 0; e < report.scenarios.size(); ++e) {
+    const ScenarioReport& sr = report.scenarios[e];
+    // The overlay's degree comes from the cached graph the campaign used.
+    const Scenario& sc = sr.scenario;
+    const double avg_degree = EngineCache::instance()
+                                  .graph(sc.topology.name, sc.topology.params,
+                                         scenario_build_seed(sc))
+                                  ->average_degree();
+    for (std::size_t i = 0; i < sr.runs.size(); ++i) {
+      const ScenarioRun& run = sr.runs[i];
       std::string after = "-";
       double retention = 0.0;
       if (run.expansion.has_value()) {
         after = "[" + std::to_string(run.expansion->lower).substr(0, 5) + "," +
                 std::to_string(run.expansion->upper).substr(0, 5) + "]";
-        retention = runner.alpha() > 0 ? run.expansion->upper / runner.alpha() : 0.0;
+        retention = sr.alpha > 0 ? run.expansion->upper / sr.alpha : 0.0;
       }
       table.row()
-          .cell(std::size_t(dims))
-          .cell(runner.graph().average_degree(), 3)
-          .cell(runner.alpha(), 3)
-          .cell(churn_ps[i], 2)
-          .cell(run.survivor_fraction(runner.graph().num_vertices()), 3)
+          .cell(e + 2)
+          .cell(avg_degree, 3)
+          .cell(sr.alpha, 3)
+          .cell(sr.sweep->values[i], 2)
+          .cell(run.survivor_fraction(sr.n), 3)
           .cell(after)
           .cell(retention, 3);
     }

@@ -67,12 +67,6 @@ int main(int argc, char** argv) {
               << run.expansion->upper << "]  (target: >= " << run.threshold << ")\n";
   }
 
-  // Bonus: the same scenario, rendered as the standard metrics table —
-  // what the scenario_runner CLI prints for any registry-described
-  // pipeline.
-  std::cout << "\n";
-  runner.metrics_table(std::vector<ScenarioRun>{run}).print(std::cout);
-
   // 6. Campaigns: a STUDY is a list of scenarios.  This one sweeps the
   //    fault probability around the value above (monotone mode: the
   //    survivors at p feed the start mask at the next p — same survivors
@@ -98,9 +92,8 @@ int main(int argc, char** argv) {
   const ScenarioReport& sr = report.scenarios.front();
   std::cout << "\ncampaign '" << report.name << "': " << sr.runs.size()
             << " sweep points, engine iterations = " << sr.engine.iterations << "\n";
-  for (std::size_t i = 0; i < sr.runs.size(); ++i) {
-    std::cout << "  p = " << sr.sweep->values[i]
-              << "  ->  |H|/n = " << sr.runs[i].survivor_fraction(sr.n) << "\n";
-  }
+  // The standard runs table — what the scenario_runner CLI prints for
+  // every entry of every campaign (one row per sweep point here).
+  runs_table(sr).print(std::cout);
   return 0;
 }

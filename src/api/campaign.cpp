@@ -275,9 +275,29 @@ void put_engine_stats(JsonObject& obj, const EngineStats& st) {
   return obj.dump();
 }
 
-}  // namespace
-
-namespace {
+/// A sweep's soundness, checked when the plan is built — before any job
+/// runs, so a bad sweep can never leave other cells committed to a store.
+/// Chaining (kMonotone) is only sound when the fault model's alive mask
+/// at value[j] is a SUBSET of the mask at value[j-1] under one seed (the
+/// coupling random/high_degree declare); ascending values make them nest.
+void check_sweep(const Scenario& scenario, const SweepSpec& sweep) {
+  const std::string context = "campaign entry '" + scenario.name + "': sweep";
+  FNE_REQUIRE(!sweep.values.empty(), context + " needs values");
+  const FaultModelEntry& model = FaultModelRegistry::instance().at(scenario.fault.name);
+  FNE_REQUIRE(std::any_of(model.params.begin(), model.params.end(),
+                          [&](const ParamSpec& p) { return p.key == sweep.param; }),
+              context + " param '" + sweep.param + "' is not a param of fault model '" +
+                  scenario.fault.name + "'");
+  if (sweep.mode != SweepMode::kMonotone) return;
+  FNE_REQUIRE(std::find(model.monotone_params.begin(), model.monotone_params.end(),
+                        sweep.param) != model.monotone_params.end(),
+              context + ": fault model '" + scenario.fault.name + "' does not declare param '" +
+                  sweep.param + "' monotone; use mode independent");
+  for (std::size_t i = 1; i < sweep.values.size(); ++i) {
+    FNE_REQUIRE(sweep.values[i - 1] < sweep.values[i],
+                context + ": monotone sweep values must be strictly ascending");
+  }
+}
 
 [[nodiscard]] Campaign campaign_from_doc(const JsonValue& doc) {
   check_keys(doc, "campaign", {"name", "scenarios"});
@@ -367,6 +387,55 @@ std::string CampaignReport::to_json(bool include_timing) const {
   return top.dump();
 }
 
+Table runs_table(const ScenarioReport& report) {
+  const MetricsSpec& metrics = report.scenario.metrics;
+  std::vector<std::string> headers{"run", "n", "faults", "alive", "|H|", "|H|/n",
+                                   "culled", "iters", "ms"};
+  if (metrics.fragmentation) {
+    headers.push_back("gamma(H)");
+    headers.push_back("comps");
+  }
+  if (metrics.expansion) headers.push_back("exp(H) [lo,up]");
+  if (metrics.verify_trace) headers.push_back("trace");
+  for (const MetricRequest& request : metrics.requests) headers.push_back(request.name);
+
+  Table table(std::move(headers));
+  for (std::size_t i = 0; i < report.runs.size(); ++i) {
+    const ScenarioRun& r = report.runs[i];
+    const bool sweep_row = report.sweep.has_value() && i < report.sweep->values.size();
+    table.row()
+        .cell(sweep_row ? report.sweep->param + "=" +
+                              std::to_string(report.sweep->values[i]).substr(0, 6)
+                        : "rep " + std::to_string(r.repetition))
+        .cell(std::size_t{report.n})
+        .cell(std::size_t{r.faults})
+        .cell(std::size_t{r.alive.count()})
+        .cell(std::size_t{r.prune.survivors.count()})
+        .cell(r.survivor_fraction(report.n), 3)
+        .cell(std::size_t{r.prune.total_culled})
+        .cell(r.prune.iterations)
+        .cell(r.millis, 1);
+    if (metrics.fragmentation) {
+      table.cell(r.fragmentation.gamma, 3).cell(r.fragmentation.num_components);
+    }
+    if (metrics.expansion) {
+      if (r.expansion.has_value()) {
+        table.cell("[" + std::to_string(r.expansion->lower).substr(0, 6) + "," +
+                   std::to_string(r.expansion->upper).substr(0, 6) + "]");
+      } else {
+        table.cell("-");
+      }
+    }
+    if (metrics.verify_trace) {
+      table.cell(r.trace.has_value() ? (r.trace->valid ? "valid" : "INVALID") : "-");
+    }
+    for (std::size_t m = 0; m < metrics.requests.size(); ++m) {
+      table.cell(m < r.metrics.size() ? r.metrics[m].brief : "-");
+    }
+  }
+  return table;
+}
+
 // ---------------------------------------------------------------------------
 // CampaignPlan
 // ---------------------------------------------------------------------------
@@ -374,6 +443,9 @@ std::string CampaignReport::to_json(bool include_timing) const {
 CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(campaign) {
   FNE_REQUIRE(!campaign_.entries.empty(), "campaign needs >= 1 entry");
   FNE_REQUIRE(threads >= 1, "campaign threads must be >= 1");
+  for (const CampaignEntry& entry : campaign_.entries) {
+    if (entry.sweep.has_value()) check_sweep(entry.scenario, *entry.sweep);
+  }
 
   // Resolve every entry: graph build (cache-shared) and α/ε measurement,
   // parallelized across entries.  Runner construction is a pure function
@@ -495,11 +567,10 @@ std::size_t CampaignPlan::expected_runs(std::size_t i) const {
 std::vector<ScenarioRun> CampaignPlan::compute_cell(std::size_t i) const {
   const CampaignJob& job = this->job(i);
   const CampaignEntry& entry = campaign_.entries[job.entry];
-  ScenarioRunner& runner = *runners_[job.entry];
+  const ScenarioRunner& runner = *runners_[job.entry];
   switch (job.kind) {
     case CampaignJob::Kind::kChain:
-      return runner.sweep_fault_param(entry.sweep->param, entry.sweep->values, 1,
-                                      SweepMode::kMonotone);
+      return runner.run_chain(*entry.sweep);
     case CampaignJob::Kind::kSweepPoint: {
       FaultSpec fault = entry.scenario.fault;
       fault.params.set(entry.sweep->param,
@@ -698,10 +769,6 @@ CampaignRunner::CampaignRunner(Campaign campaign) : campaign_(std::move(campaign
                     "campaign entry '" + e.scenario.name + "': metric '" + requests[i].name +
                         "' requested twice (records are keyed by name)");
       }
-    }
-    if (e.sweep.has_value()) {
-      FNE_REQUIRE(!e.sweep->values.empty(),
-                  "campaign entry '" + e.scenario.name + "': sweep needs values");
     }
   }
 }

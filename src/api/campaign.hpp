@@ -8,9 +8,12 @@
 // file (campaign_from_file, parsed via util/json.hpp), assembled from
 // scenario_catalog() presets, or built ad hoc.
 //
-// CampaignRunner flattens every entry into scenario×repetition (or
-// sweep-point) jobs and runs ALL of them on one ExecutorPool: a campaign
-// with 40 one-rep scenarios parallelizes as well as one 40-rep scenario.
+// CampaignPlan is the one scheduler: every batch — a campaign file, the
+// catalog, an ad-hoc CLI run (a one-entry campaign), a bench study — is
+// a Campaign.  CampaignRunner flattens every entry into
+// scenario×repetition (or sweep-point) jobs and runs ALL of them on one
+// ExecutorPool: a campaign with 40 one-rep scenarios parallelizes as
+// well as one 40-rep scenario.
 // Jobs lease engines from the EngineCache, so entries sharing a topology
 // share graphs and warm buffer pools, and the whole run produces one
 // aggregated CampaignReport: per-entry ScenarioRuns plus folded
@@ -36,10 +39,21 @@
 #include "api/runner.hpp"
 #include "api/scenario.hpp"
 #include "store/result_store.hpp"
+#include "util/table.hpp"
 
 namespace fne {
 
-/// One fault-parameter sweep attached to a campaign entry.
+/// How a SweepSpec walks its values.
+enum class SweepMode {
+  kIndependent,  ///< every point prunes the full fault-model mask
+  kMonotone,     ///< chained: point j starts from survivors(j-1) ∩ alive(j)
+};
+
+/// One fault-parameter sweep attached to a campaign entry.  `param` must
+/// be a declared param of the entry's fault model; kMonotone further
+/// needs it declared monotone (FaultModelEntry::monotone_params) and
+/// `values` strictly ascending.  CampaignPlan checks all of it before
+/// any job runs.
 struct SweepSpec {
   std::string param;
   std::vector<double> values;
@@ -93,6 +107,11 @@ struct ScenarioReport {
   EngineStats engine;          ///< work attributed to this entry (placement-independent)
   double millis = 0.0;         ///< summed job wall-clock (timing payload only)
 };
+
+/// One row per run of an executed entry: counts, |H|/n, prune time, and
+/// one column per requested metric (MetricsSpec).  Repetition rows are
+/// labelled "rep r", sweep-point rows "param=value" (from report.sweep).
+[[nodiscard]] Table runs_table(const ScenarioReport& report);
 
 /// How the run split between the result store and fresh compute.  Like
 /// cache telemetry this depends on store STATE, not on the campaign, so
@@ -159,10 +178,16 @@ struct CampaignJob {
 ///     store;
 ///   finish                         — assemble the CampaignReport (once).
 ///
-/// Both CampaignRunner::run and the dist coordinator/workers (src/dist/)
-/// are thin schedulers over this class — which is what makes "the
-/// distributed payload is byte-identical to the local one" a structural
-/// property instead of a test-enforced coincidence.
+/// Construction also validates every entry's sweep (declared param;
+/// monotone: declared monotone, strictly ascending values), so a bad
+/// sweep throws PreconditionError before any job runs or any cell
+/// reaches a store.
+///
+/// CampaignRunner::run and the dist coordinator/workers (src/dist/) are
+/// thin schedulers over this class, and nothing else schedules scenario
+/// work — which is what makes "the distributed payload is byte-identical
+/// to the local one" a structural property instead of a test-enforced
+/// coincidence.
 class CampaignPlan {
  public:
   CampaignPlan(const Campaign& campaign, int threads);

@@ -164,7 +164,7 @@ void validate_spectral_params(const Params& params) {
   }
 
   // Theorem 3.6's own construction on sampled compact sets, plus the
-  // Lemma 3.7 connectivity check — bench_e6's (b)+(c), registry-reachable.
+  // Lemma 3.7 connectivity check (E6's parts (b) and (c)).
   Rng rng(ctx.seed);
   int produced = 0;
   int lemma_ok = 0;

@@ -1,45 +1,41 @@
-// fne::ScenarioRunner — executes Scenarios (DESIGN.md §6, §8).
+// fne::ScenarioRunner — the per-job units of Scenario execution
+// (DESIGN.md §6, §8).
 //
 // A runner is bound to one Scenario: it resolves α/ε once and reads its
 // graph and engines from the process-wide EngineCache (api/executor.hpp).
-// The runner owns one PRIMARY engine lease for the single-shot surfaces
-// (run_once, run_churn) whose workspace — Krylov basis, BFS queues,
-// degree tables, cached Fiedler vector — survives across calls; batch
-// surfaces (run_all, sweeps, campaign jobs) lease one engine per job so
-// the buffers amortize across every scenario in the process that shares
-// the topology.
+// It schedules nothing itself — CampaignPlan (api/campaign.hpp) is the
+// one scheduler, and every batch (repetitions, sweeps, ad-hoc CLI runs)
+// is a campaign whose cells call the units below.  The runner owns one
+// PRIMARY engine lease for the single-shot surfaces (run_once,
+// run_churn) whose workspace — Krylov basis, BFS queues, degree tables,
+// cached Fiedler vector — survives across calls; the campaign units
+// (run_isolated, run_chain) lease one engine per job so the buffers
+// amortize across every scenario in the process that shares the
+// topology.
 //
 // Determinism contract: a ScenarioRunner is a pure function of its
 // Scenario.  Repetition r derives its fault seed from (scenario.seed, r)
-// via splitmix64 and its finder seed likewise, so the same Scenario run
-// twice — or on two runners — produces bit-identical ScenarioRuns.
-//
-// Parallel execution (DESIGN.md §7/§8): run_all(threads) and
-// sweep_fault_param(..., threads) shard repetitions / sweep points over
-// ExecutorPool.  Seeds are derived per REPETITION, never per thread, and
-// every job runs on an engine whose warm state was dropped at lease time
+// via splitmix64 and its finder seed likewise, and every campaign unit
+// runs on an engine whose warm state was dropped at lease time
 // (EngineCache contract), so each ScenarioRun is a pure function of
-// (scenario, rep): outputs are bit-identical for ANY thread count and
-// any cache-hit pattern.  Single-rep warm-engine use (run_once,
-// run_churn) keeps the cross-run Fiedler cache on the primary lease —
-// churn rounds are serially dependent anyway and profit most from it.
+// (scenario, fault, rep): bit-identical for ANY thread count and any
+// cache-hit pattern.  run_once/run_churn keep the cross-run Fiedler
+// cache on the primary lease — churn rounds are serially dependent
+// anyway and profit most from it.
 //
 // Monotone sweeps (DESIGN.md §8): for fault models whose registry entry
 // declares the swept param monotone (same seed, larger value -> alive
-// mask shrinks as a SUBSET), SweepMode::Monotone chains the sweep: point
-// j starts the cull loop from survivors(j-1) ∩ alive(j) instead of
-// alive(j).  The chain is one serial job on one lease, so campaign
-// placement cannot reorder it.  Every culled set still satisfies its
-// cull condition at cull time (verify_prune_trace certifies a monotone
-// run like any other); in the paper's subcritical sweep regimes the
-// chained survivors are additionally bit-identical to the independent
-// points — tests and bench_s4_campaign parity-check that in
-// deterministic mode.
+// mask shrinks as a SUBSET), run_chain chains the sweep: point j starts
+// the cull loop from survivors(j-1) ∩ alive(j) instead of alive(j).  The
+// chain is one serial job on one lease, so campaign placement cannot
+// reorder it.  Every culled set still satisfies its cull condition at
+// cull time (verify_prune_trace certifies a monotone run like any
+// other); in the paper's subcritical sweep regimes the chained survivors
+// are additionally bit-identical to the independent points — tests and
+// bench_s4_campaign parity-check that in deterministic mode.
 #pragma once
 
-#include <mutex>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "analysis/fragmentation.hpp"
@@ -49,7 +45,6 @@
 #include "faults/churn.hpp"
 #include "prune/engine.hpp"
 #include "prune/verify.hpp"
-#include "util/table.hpp"
 
 namespace fne {
 
@@ -84,12 +79,6 @@ struct ScenarioRun {
   }
 };
 
-/// How sweep_fault_param walks its values (see header comment).
-enum class SweepMode {
-  kIndependent,  ///< every point prunes the full fault-model mask
-  kMonotone,     ///< chained: point j starts from survivors(j-1) ∩ alive(j)
-};
-
 /// One churn round executed through the runner's persistent engine.
 struct ChurnRoundRun {
   ChurnStep churn;         ///< the raw process observables (parity with simulate_churn)
@@ -112,6 +101,8 @@ struct ChurnRunTrace {
 /// keys (store/key.hpp), which name the build seed explicitly.
 [[nodiscard]] std::uint64_t scenario_build_seed(const Scenario& scenario);
 
+struct SweepSpec;  // api/campaign.hpp
+
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(Scenario scenario);
@@ -122,20 +113,11 @@ class ScenarioRunner {
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
 
   /// Work accrued on the runner's PRIMARY engine lease (run_once,
-  /// run_churn, single-threaded batch runs).  Deltas since the lease was
-  /// taken, so a cache-served engine's prior history never shows up.
+  /// run_churn).  Deltas since the lease was taken, so a cache-served
+  /// engine's prior history never shows up.  Campaign units report
+  /// their work per run (ScenarioRun::engine) instead.
   [[nodiscard]] EngineStats engine_stats() const {
     return primary_ ? primary_.stats_delta() : EngineStats{};
-  }
-
-  /// Cumulative telemetry across the primary engine AND every per-job
-  /// lease of past batch runs — the number to report when attributing
-  /// total work regardless of thread count or cache-hit pattern.
-  [[nodiscard]] EngineStats total_engine_stats() const {
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    EngineStats total = engine_stats();
-    total += pool_stats_;
-    return total;
   }
 
   /// Execute repetition `rep`: inject faults, prune through the primary
@@ -146,8 +128,8 @@ class ScenarioRunner {
   /// Execute repetition `rep` on a freshly leased cache engine (warm
   /// state dropped at lease): a pure function of (scenario, fault, rep),
   /// safe to call concurrently from any number of threads.  This is the
-  /// unit of work a CampaignRunner schedules.
-  [[nodiscard]] ScenarioRun run_isolated(const FaultSpec& fault, int rep);
+  /// unit a CampaignPlan kRep / kSweepPoint cell executes.
+  [[nodiscard]] ScenarioRun run_isolated(const FaultSpec& fault, int rep) const;
 
   /// run_isolated, but metric requests whose registry entry declares
   /// split_job are NOT computed: their run.metrics slot holds a
@@ -155,7 +137,7 @@ class ScenarioRunner {
   /// fill.  The campaign/dist schedulers use this to run expensive
   /// metrics as separate (entry, rep, request) jobs; filling every
   /// placeholder reproduces run_isolated's result field-for-field.
-  [[nodiscard]] ScenarioRun run_isolated_deferred(const FaultSpec& fault, int rep);
+  [[nodiscard]] ScenarioRun run_isolated_deferred(const FaultSpec& fault, int rep) const;
 
   /// Compute metric request `request_index` for a completed run, with the
   /// SAME derived seed the inline path uses — the record is bit-identical
@@ -164,39 +146,23 @@ class ScenarioRunner {
   [[nodiscard]] MetricRecord compute_metric_request(const ScenarioRun& run,
                                                     std::size_t request_index) const;
 
-  /// All scenario.repetitions, sharded over `threads` ExecutorPool
-  /// workers (clamped to [1, repetitions]).  threads == 1 runs on the
-  /// primary engine (warm state dropped per repetition); more lease one
-  /// engine per job from the cache.  Either way every repetition is
-  /// cache-isolated, so the returned runs are bit-identical for any
-  /// thread count (see the determinism contract above).
-  [[nodiscard]] std::vector<ScenarioRun> run_all(int threads = 1);
-
   /// Swap the fault process (topology, α/ε and engine state are kept —
   /// that is the point of the persistent engine).
   void set_fault(FaultSpec fault);
 
-  /// Sweep one numeric fault param over `values`: one run per value at
-  /// repetition 0's seed, sharded over `threads` workers like run_all.
-  /// The runner's own fault spec is never mutated (each point runs a
-  /// copy), so a bad key/value cannot poison later runs.
-  /// SweepMode::kMonotone REQUIREs the fault model to declare `key`
-  /// monotone (FaultModelRegistry) and `values` to be strictly
-  /// ascending; the chain then runs as ONE serial job (threads ignored).
-  [[nodiscard]] std::vector<ScenarioRun> sweep_fault_param(
-      const std::string& key, std::span<const double> values, int threads = 1,
-      SweepMode mode = SweepMode::kIndependent);
+  /// Run a MONOTONE sweep chain (sweep.mode is not consulted): one run
+  /// per value at repetition 0's seeds, point j starting from
+  /// survivors(j-1) ∩ alive(j), all on ONE freshly leased engine — the
+  /// unit a CampaignPlan kChain cell executes.  CampaignPlan validates
+  /// the sweep (declared monotone param, strictly ascending values)
+  /// before any job runs; this unit trusts it.
+  [[nodiscard]] std::vector<ScenarioRun> run_chain(const SweepSpec& sweep) const;
 
   /// Drive a churn process and re-prune EVERY round through the
   /// primary engine.  The fault stream is bit-identical to
   /// simulate_churn(graph(), options) — the scenario's fault spec is not
   /// used here.
   [[nodiscard]] ChurnRunTrace run_churn(const ChurnOptions& options);
-
-  /// Render runs as a metrics table (one row per run; columns follow the
-  /// scenario's MetricsSpec).  `label` names the first column.
-  [[nodiscard]] Table metrics_table(std::span<const ScenarioRun> runs,
-                                    const std::vector<std::string>& labels = {}) const;
 
  private:
   [[nodiscard]] PruneEngineOptions engine_options(std::uint64_t finder_seed) const;
@@ -211,21 +177,13 @@ class ScenarioRunner {
   [[nodiscard]] ScenarioRun run_point(PruneEngine& engine, const FaultSpec& fault, int rep,
                                       const VertexSet* chain_start = nullptr,
                                       bool defer_split_metrics = false) const;
-  /// jobs[i] = (faults[i], reps[i]) -> out[i], over ExecutorPool.
-  void run_pooled(std::span<const FaultSpec> faults, std::span<const int> reps,
-                  std::span<ScenarioRun> out, int threads);
-  [[nodiscard]] std::vector<ScenarioRun> sweep_monotone(const std::string& key,
-                                                        std::span<const double> values);
-  void fold_pool_stats(const EngineStats& delta);
   void measure(ScenarioRun& run, bool defer_split_metrics) const;
 
   Scenario scenario_;
   std::shared_ptr<const Graph> graph_;
   double alpha_ = 0.0;
   double epsilon_ = 0.0;
-  EngineLease primary_;     ///< leased lazily; held for the runner's lifetime
-  EngineStats pool_stats_;  ///< telemetry folded in from per-job leases
-  mutable std::mutex stats_mutex_;
+  EngineLease primary_;  ///< leased lazily; held for the runner's lifetime
 };
 
 }  // namespace fne

@@ -275,8 +275,11 @@ Graph CsrFile::to_graph() const {
   bool same = g.num_edges() == header_.m;
   for (vid v = 0; same && v < n; ++v) {
     const std::span<const vid> nb = g.neighbors(v);
+    // Empty lists skip the compare: memcmp on a null span is UB even at
+    // length 0 (an isolated vertex's span may have no data pointer).
     same = nb.size() == off[v + 1] - off[v] &&
-           std::memcmp(nb.data(), arcs.data() + off[v], nb.size() * sizeof(vid)) == 0;
+           (nb.empty() ||
+            std::memcmp(nb.data(), arcs.data() + off[v], nb.size() * sizeof(vid)) == 0);
   }
   FNE_REQUIRE(same, "csr file: rebuilt adjacency diverges from the stored payload");
   return g;

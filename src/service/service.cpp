@@ -27,10 +27,14 @@ using Clock = std::chrono::steady_clock;
 // the reader's inline ping handler may respond concurrently).  alive
 // flips once, on reader exit or send failure; cancel_all() is the
 // abandonment fence — every queued request registered its token here.
+// reader_done flips as the reader thread's last act, telling the accept
+// loop the thread can be joined and the session dropped (queued requests
+// keep their own reference until they resolve).
 struct ScenarioService::Session {
   std::unique_ptr<Transport> transport;
   std::mutex send_mutex;
   std::atomic<bool> alive{true};
+  std::atomic<bool> reader_done{false};
   std::mutex token_mutex;
   std::vector<CancelToken> tokens;
 
@@ -95,17 +99,16 @@ void ScenarioService::stop() {
   // Cancel EVERYTHING: queued requests stop before starting, in-flight
   // campaigns stop claiming jobs at the next executor fence.  Workers
   // then drain the queue (each entry resolves as cancelled) and exit.
-  std::vector<std::shared_ptr<Session>> sessions;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    sessions = sessions_;
+    for (const Reader& r : readers_) r.session->cancel_all();
   }
-  for (const std::shared_ptr<Session>& s : sessions) s->cancel_all();
   queue_cv_.notify_all();
+  // Once the accept thread is gone nothing else touches readers_.
   if (accept_thread_.joinable()) accept_thread_.join();
-  for (const std::shared_ptr<Session>& s : sessions) s->transport->shutdown();
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
+  for (Reader& r : readers_) {
+    r.session->transport->shutdown();
+    if (r.thread.joinable()) r.thread.join();
   }
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
@@ -124,10 +127,19 @@ std::size_t ScenarioService::queue_size() const {
 
 void ScenarioService::accept_loop() {
   while (true) {
+    // Reap readers whose connection closed: join outside the lock (a
+    // done reader has nothing left to do but return).
+    std::vector<std::thread> finished;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) return;
+      const auto done = std::partition(readers_.begin(), readers_.end(), [](const Reader& r) {
+        return !r.session->reader_done.load();
+      });
+      for (auto it = done; it != readers_.end(); ++it) finished.push_back(std::move(it->thread));
+      readers_.erase(done, readers_.end());
     }
+    for (std::thread& t : finished) t.join();
     std::unique_ptr<Transport> t = listener_->accept(options_.poll_ms);
     if (t == nullptr) continue;
     auto session = std::make_shared<Session>();
@@ -138,8 +150,7 @@ void ScenarioService::accept_loop() {
       return;
     }
     ++stats_.connections;
-    sessions_.push_back(session);
-    readers_.emplace_back([this, session] { session_loop(session); });
+    readers_.push_back({session, std::thread([this, session] { session_loop(session); })});
   }
 }
 
@@ -293,6 +304,7 @@ void ScenarioService::session_loop(std::shared_ptr<Session> session) {
   session->alive.store(false);
   session->cancel_all();
   session->transport->shutdown();
+  session->reader_done.store(true);
 }
 
 void ScenarioService::worker_loop() {

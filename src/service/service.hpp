@@ -138,10 +138,17 @@ class ScenarioService {
   bool stopping_ = false;
   bool started_ = false;
 
+  /// One connection's reader thread and the session it serves.  The
+  /// accept loop joins and drops finished readers as it goes, so closed
+  /// connections release their thread and transport (fd) promptly.
+  struct Reader {
+    std::shared_ptr<Session> session;
+    std::thread thread;
+  };
+
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::vector<std::thread> readers_;
-  std::vector<std::shared_ptr<Session>> sessions_;
+  std::vector<Reader> readers_;  ///< live connections (guarded by mutex_)
 };
 
 // -- client ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -30,7 +31,14 @@ Table& Table::cell(const char* value) { return cell(std::string(value)); }
 
 Table& Table::cell(double value, int precision) {
   std::ostringstream os;
-  os << std::setprecision(precision) << value;
+  // `precision` significant digits, except that a magnitude >= 10^precision
+  // prints as a whole number ("130", not "1e+02") — a table of
+  // milliseconds must stay readable.
+  if (std::fabs(value) >= std::pow(10.0, precision)) {
+    os << std::fixed << std::setprecision(0) << value;
+  } else {
+    os << std::setprecision(precision) << value;
+  }
   return cell(os.str());
 }
 

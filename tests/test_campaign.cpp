@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 
 #include "api/campaign.hpp"
 #include "api/executor.hpp"
 #include "api/registry.hpp"
 #include "api/runner.hpp"
+#include "store/result_store.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
 
@@ -125,37 +127,44 @@ TEST(EngineCache, LeaseDropsWarmStateSoHistoryCannotLeak) {
   return s;
 }
 
+/// The single entry of a one-entry sweep campaign.
+[[nodiscard]] ScenarioReport run_sweep(const Scenario& s, SweepSpec sweep, int threads = 1) {
+  Campaign campaign;
+  campaign.name = "sweep";
+  campaign.entries.push_back({s, std::move(sweep)});
+  return CampaignRunner(std::move(campaign)).run(threads).scenarios.front();
+}
+
 TEST(MonotoneSweep, DeterministicModeMatchesIndependentPointsBitForBit) {
   const std::vector<double> values{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35};
-  ScenarioRunner indep_runner(sweep_scenario());
-  ScenarioRunner mono_runner(sweep_scenario());
-  const std::vector<ScenarioRun> indep = indep_runner.sweep_fault_param("p", values);
-  const std::vector<ScenarioRun> mono =
-      mono_runner.sweep_fault_param("p", values, 1, SweepMode::kMonotone);
-  ASSERT_EQ(indep.size(), mono.size());
+  const ScenarioReport indep =
+      run_sweep(sweep_scenario(), SweepSpec{"p", values, SweepMode::kIndependent}, 2);
+  const ScenarioReport mono =
+      run_sweep(sweep_scenario(), SweepSpec{"p", values, SweepMode::kMonotone}, 2);
+  ASSERT_EQ(indep.runs.size(), values.size());
+  ASSERT_EQ(mono.runs.size(), values.size());
   bool any_culled = false;
   for (std::size_t i = 0; i < values.size(); ++i) {
     SCOPED_TRACE(values[i]);
     // The sweep's OUTPUT — the survivor set — is bit-identical in the
     // paper's subcritical prune2 regime; the chained trace (alive,
     // culled records) legitimately covers only the delta.
-    EXPECT_TRUE(indep[i].prune.survivors == mono[i].prune.survivors);
-    EXPECT_EQ(indep[i].fault_seed, mono[i].fault_seed);
-    EXPECT_EQ(indep[i].faults, mono[i].faults) << "fault counts describe the fault model";
-    EXPECT_TRUE(mono[i].alive.is_subset_of(indep[i].alive))
+    EXPECT_TRUE(indep.runs[i].prune.survivors == mono.runs[i].prune.survivors);
+    EXPECT_EQ(indep.runs[i].fault_seed, mono.runs[i].fault_seed);
+    EXPECT_EQ(indep.runs[i].faults, mono.runs[i].faults)
+        << "fault counts describe the fault model";
+    EXPECT_TRUE(mono.runs[i].alive.is_subset_of(indep.runs[i].alive))
         << "chained start must be a subset of the fault-model mask";
     // Every monotone point is still a certified prune run.
-    ASSERT_TRUE(mono[i].trace.has_value());
-    EXPECT_TRUE(mono[i].trace->valid);
-    any_culled = any_culled || indep[i].prune.total_culled > 0;
+    ASSERT_TRUE(mono.runs[i].trace.has_value());
+    EXPECT_TRUE(mono.runs[i].trace->valid);
+    any_culled = any_culled || indep.runs[i].prune.total_culled > 0;
   }
   EXPECT_TRUE(any_culled) << "workload too gentle to exercise the cull loop";
 
   // The fast path must actually save cull work (the acceptance criterion
   // bench_s4_campaign measures at scale).
-  const EngineStats indep_stats = indep_runner.total_engine_stats();
-  const EngineStats mono_stats = mono_runner.total_engine_stats();
-  EXPECT_LT(mono_stats.iterations, indep_stats.iterations);
+  EXPECT_LT(mono.engine.iterations, indep.engine.iterations);
 }
 
 TEST(MonotoneSweep, MasksNestUnderTheSameSeed) {
@@ -177,20 +186,37 @@ TEST(MonotoneSweep, MasksNestUnderTheSameSeed) {
 }
 
 TEST(MonotoneSweep, RequiresADeclaredParamAndAscendingValues) {
-  Scenario s = sweep_scenario();
-  s.fault = {"sweep_cut", Params{}};
-  ScenarioRunner undeclared(s);
-  const std::vector<double> values{0.1, 0.2};
-  EXPECT_THROW((void)undeclared.sweep_fault_param("frac", values, 1, SweepMode::kMonotone),
-               PreconditionError);
+  // Each bad sweep sits BEHIND a good entry: the plan must reject it
+  // before any job runs, so nothing is computed or committed to the store.
+  const auto expect_rejected_up_front = [](const Scenario& s, SweepSpec sweep) {
+    Campaign campaign;
+    campaign.name = "bad-monotone";
+    campaign.entries.push_back({sweep_scenario(), std::nullopt});
+    campaign.entries.push_back({s, std::move(sweep)});
+    const std::string dir = ::testing::TempDir() + "fne_bad_sweep_store";
+    std::filesystem::remove_all(dir);
+    {
+      ResultStore store(dir);
+      const EngineCacheStats before = EngineCache::instance().stats();
+      EXPECT_THROW((void)CampaignPlan(campaign, 2), PreconditionError);
+      EXPECT_THROW((void)CampaignRunner(campaign).run(2, &store), PreconditionError);
+      EXPECT_EQ((EngineCache::instance().stats() - before).leases, 0u) << "a job ran";
+      EXPECT_EQ(store.stats().records, 0u) << "a cell was committed";
+    }
+    std::filesystem::remove_all(dir);
+  };
+  Scenario undeclared = sweep_scenario();
+  undeclared.fault = {"sweep_cut", Params{}};
+  expect_rejected_up_front(undeclared, SweepSpec{"frac", {0.1, 0.2}, SweepMode::kMonotone});
+  expect_rejected_up_front(sweep_scenario(),
+                           SweepSpec{"p", {0.3, 0.2}, SweepMode::kMonotone});
+  expect_rejected_up_front(sweep_scenario(),
+                           SweepSpec{"no_such_param", {0.1, 0.2}, SweepMode::kMonotone});
 
-  ScenarioRunner runner(sweep_scenario());
-  const std::vector<double> descending{0.3, 0.2};
-  EXPECT_THROW((void)runner.sweep_fault_param("p", descending, 1, SweepMode::kMonotone),
-               PreconditionError);
-  // Still usable afterwards (errors fire before any engine work).
-  const std::vector<double> ok{0.1, 0.2};
-  EXPECT_EQ(runner.sweep_fault_param("p", ok, 1, SweepMode::kMonotone).size(), 2u);
+  // A valid chain on the same scenario still runs.
+  EXPECT_EQ(run_sweep(sweep_scenario(), SweepSpec{"p", {0.1, 0.2}, SweepMode::kMonotone})
+                .runs.size(),
+            2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-// Parallel scenario execution contracts (DESIGN.md §7): run_all and
-// sweep_fault_param produce bit-identical ScenarioRuns for ANY thread
-// count (seeds per repetition, caches per-repetition cold), worker
-// telemetry folds into total_engine_stats, errors propagate without
-// poisoning the runner, and the percolation layer's chunk-merged stats
-// are thread-count independent.
+// Parallel campaign execution contracts (DESIGN.md §7/§8): a campaign's
+// runs are bit-identical, field by field, for ANY thread count (seeds per
+// repetition, engines cold at every lease) and for any engine-cache
+// history, per-entry engine stats are placement-independent, a bad sweep
+// fails before any job runs without poisoning the runner, and the
+// percolation layer's chunk-merged stats are thread-count independent.
 #include <gtest/gtest.h>
 
+#include "api/campaign.hpp"
 #include "api/runner.hpp"
 #include "percolation/percolation.hpp"
 #include "topology/mesh.hpp"
@@ -30,6 +31,15 @@ namespace {
   return s;
 }
 
+/// The single entry of a one-entry campaign run at `threads`.
+[[nodiscard]] ScenarioReport run_entry(const Scenario& s, std::optional<SweepSpec> sweep,
+                                       int threads) {
+  Campaign campaign;
+  campaign.name = "parallel";
+  campaign.entries.push_back({s, std::move(sweep)});
+  return CampaignRunner(std::move(campaign)).run(threads).scenarios.front();
+}
+
 void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
   EXPECT_EQ(a.repetition, b.repetition);
   EXPECT_EQ(a.fault_seed, b.fault_seed);
@@ -44,83 +54,88 @@ void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
   }
 }
 
-TEST(ParallelRunner, RunAllIsBitIdenticalAcrossThreadCounts) {
+void expect_identical(const std::vector<ScenarioRun>& a, const std::vector<ScenarioRun>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(a[i], b[i]);
+  }
+}
+
+TEST(ParallelRunner, RepetitionsAreBitIdenticalAcrossThreadCounts) {
   for (const bool fast : {false, true}) {
     SCOPED_TRACE(fast ? "fast" : "deterministic");
     const Scenario s = parallel_scenario(fast);
-    const std::vector<ScenarioRun> serial = ScenarioRunner(s).run_all(1);
+    const std::vector<ScenarioRun> serial = run_entry(s, std::nullopt, 1).runs;
+    ASSERT_EQ(serial.size(), static_cast<std::size_t>(s.repetitions));
     bool any_culled = false;
     for (const ScenarioRun& r : serial) any_culled = any_culled || r.prune.total_culled > 0;
     EXPECT_TRUE(any_culled) << "workload too gentle to exercise the cull loop";
-    for (const int threads : {2, 4}) {
+    for (const int threads : {2, 3}) {
       SCOPED_TRACE(threads);
-      const std::vector<ScenarioRun> parallel = ScenarioRunner(s).run_all(threads);
-      ASSERT_EQ(serial.size(), parallel.size());
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE(i);
-        expect_identical(serial[i], parallel[i]);
-      }
+      expect_identical(serial, run_entry(s, std::nullopt, threads).runs);
     }
   }
 }
 
-TEST(ParallelRunner, RunAllOnOneRunnerMatchesFreshRunner) {
-  // A runner with prior history (warm engine from run_once/churn) must
-  // still produce the pure run_all results: every repetition starts cold.
+TEST(ParallelRunner, EngineCacheHistoryCannotLeakIntoCampaignRuns) {
+  // An engine with prior history (warm Fiedler cache from run_once) goes
+  // back to the idle pool when its runner dies; a campaign that leases it
+  // must still produce the cold-cache runs: every lease starts cold.
   const Scenario s = parallel_scenario(true);
-  ScenarioRunner warmed(s);
-  (void)warmed.run_once(0);  // leaves a warm Fiedler cache behind
-  const std::vector<ScenarioRun> after_history = warmed.run_all(1);
-  const std::vector<ScenarioRun> fresh = ScenarioRunner(s).run_all(3);
-  ASSERT_EQ(after_history.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(after_history[i], fresh[i]);
+  EngineCache::instance().clear();
+  const std::vector<ScenarioRun> fresh = run_entry(s, std::nullopt, 3).runs;
+  EngineCache::instance().clear();
+  {
+    ScenarioRunner warmed(s);
+    (void)warmed.run_once(0);
   }
+  const EngineCacheStats before = EngineCache::instance().stats();
+  const std::vector<ScenarioRun> after_history = run_entry(s, std::nullopt, 1).runs;
+  EXPECT_GT((EngineCache::instance().stats() - before).engine_hits, 0u)
+      << "the warmed engine must actually be reused";
+  expect_identical(after_history, fresh);
 }
 
 TEST(ParallelRunner, SweepIsBitIdenticalAcrossThreadCounts) {
-  Scenario s = parallel_scenario(true);
-  s.metrics.verify_trace = false;
-  ScenarioRunner runner(s);
-  const std::vector<double> ps{0.05, 0.15, 0.25, 0.35};
-  const std::vector<ScenarioRun> serial = runner.sweep_fault_param("p", ps, 1);
-  const std::vector<ScenarioRun> parallel = runner.sweep_fault_param("p", ps, 3);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_identical(serial[i], parallel[i]);
-  }
-  // The runner's own fault spec is never mutated by a sweep.
-  EXPECT_EQ(runner.scenario().fault.params.get_double("p", 0.0), 0.25);
-}
-
-TEST(ParallelRunner, PooledStatsAccountForEveryRepetition) {
   const Scenario s = parallel_scenario(true);
-  ScenarioRunner serial_runner(s);
-  (void)serial_runner.run_all(1);
-  const EngineStats serial_stats = serial_runner.total_engine_stats();
-  EXPECT_EQ(serial_stats.runs, static_cast<std::uint64_t>(s.repetitions));
-
-  ScenarioRunner pooled_runner(s);
-  (void)pooled_runner.run_all(3);
-  const EngineStats pooled_stats = pooled_runner.total_engine_stats();
-  EXPECT_EQ(pooled_stats.runs, static_cast<std::uint64_t>(s.repetitions));
-  // Work totals are placement-independent: same culls, same iterations.
-  EXPECT_EQ(serial_stats.iterations, pooled_stats.iterations);
-  EXPECT_EQ(serial_stats.disconnected_culls, pooled_stats.disconnected_culls);
+  const SweepSpec sweep{"p", {0.05, 0.15, 0.25, 0.35}, SweepMode::kIndependent};
+  const ScenarioReport serial = run_entry(s, sweep, 1);
+  for (const int threads : {2, 3}) {
+    SCOPED_TRACE(threads);
+    expect_identical(serial.runs, run_entry(s, sweep, threads).runs);
+  }
+  // Sweep points run copies: the entry's own fault spec is untouched.
+  EXPECT_EQ(serial.scenario.fault.params.get_double("p", 0.0), 0.25);
 }
 
-TEST(ParallelRunner, WorkerErrorsPropagateWithoutPoisoningTheRunner) {
-  Scenario s = parallel_scenario(false);
-  s.metrics.verify_trace = false;
-  ScenarioRunner runner(s);
-  const std::vector<double> ps{0.1, 0.2};
-  EXPECT_THROW((void)runner.sweep_fault_param("no_such_key", ps, 2), PreconditionError);
-  EXPECT_FALSE(runner.scenario().fault.params.has("no_such_key"));
-  // Still usable afterwards.
-  const std::vector<ScenarioRun> runs = runner.sweep_fault_param("p", ps, 2);
-  EXPECT_EQ(runs.size(), ps.size());
+TEST(ParallelRunner, EntryStatsAccountForEveryRepetition) {
+  const Scenario s = parallel_scenario(true);
+  const EngineStats serial = run_entry(s, std::nullopt, 1).engine;
+  EXPECT_EQ(serial.runs, static_cast<std::uint64_t>(s.repetitions));
+  const EngineStats pooled = run_entry(s, std::nullopt, 3).engine;
+  EXPECT_EQ(pooled.runs, static_cast<std::uint64_t>(s.repetitions));
+  // Work totals are placement-independent: same culls, same iterations.
+  EXPECT_EQ(serial.iterations, pooled.iterations);
+  EXPECT_EQ(serial.eigensolves, pooled.eigensolves);
+  EXPECT_EQ(serial.disconnected_culls, pooled.disconnected_culls);
+}
+
+TEST(ParallelRunner, BadSweepFailsBeforeAnyJobWithoutPoisoningTheRunner) {
+  const Scenario s = parallel_scenario(false);
+  Campaign bad;
+  bad.name = "bad-sweep";
+  bad.entries.push_back({s, std::nullopt});  // a good entry ahead of the bad one
+  bad.entries.push_back({s, SweepSpec{"no_such_key", {0.1, 0.2}, SweepMode::kIndependent}});
+  CampaignRunner runner(std::move(bad));
+  const EngineCacheStats before = EngineCache::instance().stats();
+  EXPECT_THROW((void)runner.run(2), PreconditionError);
+  EXPECT_EQ((EngineCache::instance().stats() - before).leases, 0u)
+      << "the sweep must be rejected before any job leases an engine";
+  // A good campaign on the same scenario still runs afterwards.
+  const ScenarioReport ok = run_entry(s, SweepSpec{"p", {0.1, 0.2}, SweepMode::kIndependent}, 2);
+  EXPECT_EQ(ok.runs.size(), 2u);
+  EXPECT_FALSE(ok.scenario.fault.params.has("no_such_key"));
 }
 
 TEST(ParallelRunner, PercolationStatsAreThreadCountIndependent) {

@@ -1,8 +1,10 @@
-// ScenarioRunner contracts (DESIGN.md §6): determinism (a runner is a
-// pure function of its Scenario), churn-through-engine parity with the
-// old simulate_churn path, and engine-telemetry sanity.
+// ScenarioRunner contracts (DESIGN.md §6): determinism (a scenario's
+// runs are a pure function of the Scenario, whether batched through a
+// one-entry campaign or run once), churn-through-engine parity with the
+// old simulate_churn path, engine-telemetry sanity, and the runs table.
 #include <gtest/gtest.h>
 
+#include "api/campaign.hpp"
 #include "api/runner.hpp"
 #include "prune/prune.hpp"
 #include "prune/prune2.hpp"
@@ -24,6 +26,16 @@ namespace {
   return s;
 }
 
+/// The single entry of a one-entry campaign (the batch path every
+/// repetition and sweep goes through).
+[[nodiscard]] ScenarioReport run_entry(const Scenario& s,
+                                       std::optional<SweepSpec> sweep = std::nullopt) {
+  Campaign campaign;
+  campaign.name = s.name;
+  campaign.entries.push_back({s, std::move(sweep)});
+  return CampaignRunner(std::move(campaign)).run(1).scenarios.front();
+}
+
 void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
   EXPECT_EQ(a.fault_seed, b.fault_seed);
   EXPECT_TRUE(a.alive == b.alive);
@@ -39,10 +51,8 @@ void expect_identical(const ScenarioRun& a, const ScenarioRun& b) {
 
 TEST(ScenarioRunner, SameScenarioAndSeedIsBitIdenticalTwice) {
   const Scenario s = culling_scenario();
-  ScenarioRunner first(s);
-  ScenarioRunner second(s);
-  const std::vector<ScenarioRun> a = first.run_all();
-  const std::vector<ScenarioRun> b = second.run_all();
+  const std::vector<ScenarioRun> a = run_entry(s).runs;
+  const std::vector<ScenarioRun> b = run_entry(s).runs;
   ASSERT_EQ(a.size(), b.size());
   bool any_culled = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -58,8 +68,8 @@ TEST(ScenarioRunner, SameScenarioAndSeedIsBitIdenticalTwice) {
 TEST(ScenarioRunner, FastModeIsDeterministicAndCertified) {
   Scenario s = culling_scenario();
   s.prune.fast = true;
-  const std::vector<ScenarioRun> a = ScenarioRunner(s).run_all();
-  const std::vector<ScenarioRun> b = ScenarioRunner(s).run_all();
+  const std::vector<ScenarioRun> a = run_entry(s).runs;
+  const std::vector<ScenarioRun> b = run_entry(s).runs;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
@@ -91,24 +101,20 @@ TEST(ScenarioRunner, DeterministicModeIsBitIdenticalToTheStatelessReference) {
   }
 }
 
-TEST(ScenarioRunner, SweepRunsOnOneEngineAndTracksTheParam) {
+TEST(ScenarioRunner, SweepTracksTheParamAndLeavesTheFaultSpecAlone) {
   Scenario s = culling_scenario();
   s.metrics.verify_trace = false;
-  ScenarioRunner runner(s);
   const std::vector<double> ps{0.05, 0.15, 0.3};
-  const std::vector<ScenarioRun> sweep = runner.sweep_fault_param("p", ps);
-  ASSERT_EQ(sweep.size(), ps.size());
+  const ScenarioReport sweep = run_entry(s, SweepSpec{"p", ps, SweepMode::kIndependent});
+  ASSERT_EQ(sweep.runs.size(), ps.size());
   // More faults -> fewer alive (same seed across the sweep).
-  EXPECT_GT(sweep[0].alive.count(), sweep[2].alive.count());
-  EXPECT_GE(runner.engine_stats().runs, ps.size());
+  EXPECT_GT(sweep.runs[0].alive.count(), sweep.runs[2].alive.count());
+  EXPECT_EQ(sweep.engine.runs, ps.size());
   // The sweep must not clobber the scenario's own fault params.
-  EXPECT_EQ(runner.scenario().fault.params.get_double("p", 0.0), 0.25);
-  // ...even when a probe throws (undeclared key): the spec is restored
-  // and the runner stays usable.
-  EXPECT_THROW((void)runner.sweep_fault_param("no_such_key", ps), PreconditionError);
-  EXPECT_EQ(runner.scenario().fault.params.get_double("p", 0.0), 0.25);
-  EXPECT_FALSE(runner.scenario().fault.params.has("no_such_key"));
-  (void)runner.run_once(0);
+  EXPECT_EQ(sweep.scenario.fault.params.get_double("p", 0.0), 0.25);
+  // ...and an undeclared key fails up front, before any job runs.
+  EXPECT_THROW((void)run_entry(s, SweepSpec{"no_such_key", ps, SweepMode::kIndependent}),
+               PreconditionError);
 }
 
 TEST(ScenarioRunner, ChurnAliveStreamMatchesSimulateChurn) {
@@ -167,20 +173,33 @@ TEST(ScenarioRunner, EngineStatsAccumulateAcrossRuns) {
   Scenario s = culling_scenario();
   s.prune.fast = true;
   s.repetitions = 3;
-  ScenarioRunner runner(s);
-  (void)runner.run_all();
-  const EngineStats& st = runner.engine_stats();
+  // Campaign path: the entry folds every run's engine delta.
+  const EngineStats st = run_entry(s).engine;
   EXPECT_EQ(st.runs, 3u);
   EXPECT_GT(st.eigensolves + st.stale_sweep_hits, 0u);
   EXPECT_LE(st.stale_sweep_hits, st.stale_sweeps);
+  // Single-shot path: the primary lease accumulates across run_once calls.
+  ScenarioRunner runner(s);
+  for (int rep = 0; rep < 3; ++rep) (void)runner.run_once(rep);
+  EXPECT_EQ(runner.engine_stats().runs, 3u);
 }
 
-TEST(ScenarioRunner, MetricsTableHasOneRowPerRun) {
-  Scenario s = culling_scenario();
-  ScenarioRunner runner(s);
-  const std::vector<ScenarioRun> runs = runner.run_all();
-  const Table table = runner.metrics_table(runs);
-  EXPECT_EQ(table.num_rows(), runs.size());
+TEST(ScenarioRunner, RunsTableHasOneRowPerRunAndLabelsSweepPoints) {
+  const Scenario s = culling_scenario();
+  const ScenarioReport reps = run_entry(s);
+  const Table table = runs_table(reps);
+  EXPECT_EQ(table.num_rows(), reps.runs.size());
+  EXPECT_EQ(table.rows()[1][0], "rep 1");
+  EXPECT_EQ(table.headers().back(), "trace");
+
+  Scenario plain = s;
+  plain.metrics.verify_trace = false;
+  const ScenarioReport sweep =
+      run_entry(plain, SweepSpec{"p", {0.05, 0.15}, SweepMode::kIndependent});
+  const Table sweep_table = runs_table(sweep);
+  ASSERT_EQ(sweep_table.num_rows(), 2u);
+  EXPECT_EQ(sweep_table.rows()[0][0], "p=0.0500");
+  EXPECT_EQ(sweep_table.rows()[1][0], "p=0.1500");
 }
 
 TEST(ScenarioRunner, NamedScenariosAllConstruct) {

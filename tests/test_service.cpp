@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +306,47 @@ TEST(ScenarioServiceShutdown, StopCancelsInFlightWorkAndJoins) {
   service.stop();  // must not wait for the 30s sleeps
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
   EXPECT_EQ(service.stats().cancelled, 4u);
+}
+
+[[nodiscard]] std::size_t count_entries(const char* dir) {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator(dir)) ++n;
+  return n;
+}
+
+TEST(ScenarioServiceConnections, ClosedConnectionsReleaseTheirThreadAndFd) {
+  if (!std::filesystem::exists("/proc/self/task") || !std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /proc to count live threads and fds";
+  }
+  ScenarioService service(ServiceOptions{});
+  service.start();
+  {
+    ServiceClient warm("127.0.0.1", service.port());
+    ASSERT_TRUE(warm.ping().ok());
+  }
+  const std::size_t threads_before = count_entries("/proc/self/task");
+  const std::size_t fds_before = count_entries("/proc/self/fd");
+  constexpr int kClients = 60;
+  for (int i = 0; i < kClients; ++i) {
+    ServiceClient client("127.0.0.1", service.port());
+    ASSERT_TRUE(client.ping().ok());
+  }  // each client closes its connection on destruction
+  // Readers notice EOF within a poll interval and the accept loop reaps
+  // them on its next turn; allow a few seconds on a loaded machine.
+  constexpr std::size_t kSlack = 4;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::size_t threads = 0;
+  std::size_t fds = 0;
+  do {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    threads = count_entries("/proc/self/task");
+    fds = count_entries("/proc/self/fd");
+  } while ((threads > threads_before + kSlack || fds > fds_before + kSlack) &&
+           std::chrono::steady_clock::now() < deadline);
+  EXPECT_LE(threads, threads_before + kSlack);
+  EXPECT_LE(fds, fds_before + kSlack) << "closed sessions must not keep their fds";
+  service.stop();
+  EXPECT_EQ(service.stats().connections, static_cast<std::uint64_t>(kClients + 1));
 }
 
 TEST(ScenarioServiceShutdown, StopWithoutStartAndDoubleStopAreSafe) {

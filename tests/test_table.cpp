@@ -24,6 +24,28 @@ TEST(Table, BuildsAndPrints) {
   EXPECT_NE(text.find("| name"), std::string::npos);
 }
 
+TEST(Table, DoubleCellsAtOrAbovePowerOfTenPrecisionPrintWithoutExponent) {
+  Table t({"v"});
+  // >= 10^precision: whole numbers, never an exponent.
+  t.row().cell(130.4, 1);
+  t.row().cell(10.0, 1);
+  t.row().cell(-61.7, 1);
+  t.row().cell(1000.4, 3);
+  t.row().cell(12345.6, 4);
+  // Below 10^precision: significant digits, exactly as before.
+  t.row().cell(9.4, 1);
+  t.row().cell(9.96, 1);
+  t.row().cell(999.4, 3);
+  t.row().cell(0.0625, 4);
+  t.row().cell(1.5);
+  const std::vector<std::string> expected{"130", "10",  "-62",    "1000", "12346",
+                                          "9",   "1e+01", "999", "0.0625", "1.5"};
+  ASSERT_EQ(t.num_rows(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(t.rows()[i][0], expected[i]) << "row " << i;
+  }
+}
+
 TEST(Table, CsvEscapesSpecialCharacters) {
   Table t({"a", "b"});
   t.row().cell("x,y").cell("quote\"inside");
