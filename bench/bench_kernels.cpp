@@ -12,10 +12,12 @@
 #include "percolation/percolation.hpp"
 #include "prune/engine.hpp"
 #include "prune/prune2.hpp"
+#include "span/span.hpp"
 #include "span/steiner.hpp"
 #include "spectral/fiedler.hpp"
 #include "spectral/kernels.hpp"
 #include "spectral/operator.hpp"
+#include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "topology/random_graphs.hpp"
 
@@ -185,6 +187,21 @@ void BM_SteinerExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteinerExact)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// The metrics layer's span_estimate on E8's parameters: sampling, the
+// approximate tree of every candidate, and DW where it can raise σ.
+void BM_SpanEstimateHypercube5(benchmark::State& state) {
+  const Graph g = hypercube(5);
+  SpanEstimateOptions opts;
+  opts.samples_per_size = 12;
+  opts.size_fractions = {0.05, 0.1, 0.2, 0.35, 0.5};
+  for (auto _ : state) {
+    const SpanResult r = estimate_span(g, opts);
+    benchmark::DoNotOptimize(r.span);
+    state.counters["exact_trees"] = static_cast<double>(r.exact_trees);
+  }
+}
+BENCHMARK(BM_SpanEstimateHypercube5)->Unit(benchmark::kMillisecond);
 
 void BM_Prune2EndToEnd(benchmark::State& state) {
   const Mesh m = Mesh::cube(static_cast<vid>(state.range(0)), 2);

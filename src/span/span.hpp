@@ -3,9 +3,14 @@
 // where P(U) is the smallest tree connecting every node of Γ(U).
 //
 // Exact for small graphs (exhaustive compact sets + Dreyfus–Wagner);
-// sampled for large graphs.  A sampled estimate is a LOWER bound on σ
-// when its Steiner trees are exact; with approximate Steiner trees each
-// ratio can overshoot by at most 2×, so the estimate lies in [σ_est/2, σ].
+// sampled for large graphs.  Both scans take the metric-closure tree of
+// every candidate first and run Dreyfus–Wagner only where it can change
+// the maximum, with the same result as exact Steiner trees everywhere the
+// DW budget allows.  When `exact` is set, every candidate's tree was
+// within the DW budget, so `span` is the exact-tree maximum over the
+// examined sets -- for a sampled estimate, a LOWER bound on σ.  Otherwise
+// some ratios rest on approximate trees, each of which can overshoot by at
+// most 2×, so the estimate lies in [σ_est/2, σ].
 #pragma once
 
 #include <cstdint>
@@ -21,7 +26,13 @@ struct SpanResult {
   vid worst_boundary = 0;
   vid worst_tree_nodes = 0;
   std::uint64_t sets_examined = 0;
-  bool exact = false;         ///< exhaustive sets + exact Steiner everywhere
+  /// Every candidate's tree was within the DW budget, so `span` is the
+  /// exact-tree maximum over the sampled (or, for exact_span, all) sets.
+  bool exact = false;
+  /// Dreyfus–Wagner runs made: only candidates whose approximate ratio
+  /// could raise the maximum and whose approximate tree is not already
+  /// optimal.  Not part of any payload.
+  std::uint64_t exact_trees = 0;
 };
 
 /// Exact span by exhaustive compact-set enumeration.  Requires the graph

@@ -155,7 +155,6 @@ SteinerResult steiner_approx(const Graph& g, const std::vector<vid>& terminals) 
   }
 
   // BFS from every terminal (distances + parents).
-  const VertexSet all = VertexSet::full(n);
   std::vector<std::vector<std::uint32_t>> dist(t);
   std::vector<std::vector<vid>> parent(t, std::vector<vid>(n, kInvalidVertex));
   for (vid i = 0; i < t; ++i) {

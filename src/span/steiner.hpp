@@ -7,6 +7,9 @@
 //   * metric-closure MST — the classic 2-approximation; only ever
 //     *overestimates* the tree size, which keeps sampled span estimates
 //     conservative in the documented direction.
+//
+// span.cpp computes the approximate tree of every candidate set and runs
+// Dreyfus–Wagner only where its result can change the span maximum.
 #pragma once
 
 #include <cstdint>
