@@ -17,9 +17,11 @@
 #include "spectral/fiedler.hpp"
 #include "spectral/kernels.hpp"
 #include "spectral/operator.hpp"
+#include "spectral/tridiag.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/mesh.hpp"
 #include "topology/random_graphs.hpp"
+#include "util/rng.hpp"
 
 namespace fne {
 namespace {
@@ -142,7 +144,36 @@ void BM_FiedlerVector(benchmark::State& state) {
     benchmark::DoNotOptimize(fiedler_vector(m.graph(), all).lambda2);
   }
 }
-BENCHMARK(BM_FiedlerVector)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FiedlerVector)->Arg(16)->Arg(32)->Arg(48)->Unit(benchmark::kMillisecond);
+
+// The two QL forms a rank-1 Lanczos solve runs (spectral/tridiag.hpp): a
+// convergence check reads only the last row of the eigenvector matrix
+// (range(1) == 0), the exit extraction accumulates the full k×k
+// (range(1) == 1).  k is the Krylov dimension at the check.
+void BM_TridiagEigen(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const bool full = state.range(1) != 0;
+  Rng rng(11);
+  std::vector<double> diag(k), off(k - 1);
+  for (auto& d : diag) d = 2.0 + rng.uniform01();
+  for (auto& o : off) o = rng.uniform01();
+  std::vector<double> values, vectors;
+  for (auto _ : state) {
+    if (full) {
+      tridiag_eigen(diag, off, values, &vectors);
+    } else {
+      tridiag_eigen_last_row(diag, off, values, vectors);
+    }
+    benchmark::DoNotOptimize(vectors.data());
+  }
+}
+BENCHMARK(BM_TridiagEigen)
+    ->ArgNames({"k", "full"})
+    ->Args({100, 0})
+    ->Args({100, 1})
+    ->Args({400, 0})
+    ->Args({400, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FiedlerSweep(benchmark::State& state) {
   const Mesh m = Mesh::cube(static_cast<vid>(state.range(0)), 2);

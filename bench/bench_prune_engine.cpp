@@ -128,15 +128,15 @@ LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
     if (last || (j + 1) % 10 == 0) {
       std::vector<double> values;
       std::vector<double> z;
-      tridiag_eigen(alpha, beta, values, &z);
+      tridiag_eigen(alpha, beta, values, &z, 1);
       const std::size_t k = alpha.size();
-      const bool conv = std::fabs(b * z[(k - 1) * k]) <= options.tolerance;
+      const bool conv = std::fabs(b * z[k - 1]) <= options.tolerance;
       if (conv || last) {
         result.iterations = j + 1;
         result.converged = conv || b < 1e-13;
         result.values.assign(values.begin(), values.begin() + 1);
         result.vectors.assign(1, std::vector<double>(n, 0.0));
-        for (std::size_t i = 0; i < k; ++i) axpy(z[i * k], basis[i], result.vectors[0]);
+        for (std::size_t i = 0; i < k; ++i) axpy(z[i], basis[i], result.vectors[0]);
         return result;
       }
     }
@@ -397,8 +397,9 @@ bool spectral_kernel_section(const Graph& g, const VertexSet& alive, std::uint64
   // Staged eigensolves at the caps the engine's fiedler_sweep escalation
   // actually uses (spectral/sweep: 40 then 120).  The 40-cap stage is the
   // one EVERY fast-mode eigensolve runs (escalation is the rare case), so
-  // it carries the acceptance; the 120-cap row is informational — at
-  // small n the tridiagonal convergence checks flatten the ratio.
+  // it carries the acceptance; the 120-cap row is informational — its
+  // ratio also carries the seed path's full O(k³) eigenvector accumulation
+  // at every convergence check, which the library's last-row checks skip.
   for (const int cap : {40, 120}) {
     LanczosOptions opts;
     opts.max_iterations = cap;

@@ -290,13 +290,12 @@ struct TransformedCandidates {
 };
 
 /// Assemble the `want` smallest surrogate Ritz vectors from basis[0..m)
-/// (z is the row-major m×ld eigenvector matrix, column e = pair e), then
-/// Rayleigh-quotient and residual-test each against the base operator.
+/// (z holds the m-component eigenvectors contiguously, pair e at z[e*m..]),
+/// then Rayleigh-quotient and residual-test each against the base operator.
 TransformedCandidates rayleigh_candidates(const LinearOperator& base_op,
                                           const std::vector<std::vector<double>>& basis,
-                                          std::size_t m, const std::vector<double>& z,
-                                          std::size_t ld, int want, double tolerance,
-                                          std::size_t n) {
+                                          std::size_t m, const std::vector<double>& z, int want,
+                                          double tolerance, std::size_t n) {
   TransformedCandidates out;
   std::vector<double> tmp(n);
   std::vector<std::pair<double, int>> order;
@@ -304,7 +303,7 @@ TransformedCandidates rayleigh_candidates(const LinearOperator& base_op,
   for (int e = 0; e < want; ++e) {
     std::vector<double> vec(n, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
-      axpy(z[i * ld + static_cast<std::size_t>(e)], basis[i], vec);
+      axpy(z[static_cast<std::size_t>(e) * m + i], basis[i], vec);
     }
     const double nv = norm(vec);
     if (nv > 0.0) {
@@ -330,7 +329,10 @@ TransformedCandidates rayleigh_candidates(const LinearOperator& base_op,
 // ---------------------------------------------------------------------------
 // Rank-1 bodies.  rank1_plain is the pre-PR-6 solver, bit for bit; the
 // transformed body shares its recurrence but iterates the surrogate and
-// decides convergence through rayleigh_candidates.
+// decides convergence through rayleigh_candidates.  rank1_plain's checks
+// read only the last row of the tridiagonal eigenvector matrix (Paige's
+// estimate β_k·|s_{k,e}|), O(k²) each; the full O(k³) accumulation runs
+// once, at exit, for the Ritz vectors returned (DESIGN.md §3).
 // ---------------------------------------------------------------------------
 
 LanczosResult rank1_plain(const LinearOperator& op, std::size_t n,
@@ -397,13 +399,13 @@ LanczosResult rank1_plain(const LinearOperator& op, std::size_t n,
     const bool last = (j + 1 == max_iter) || b < 1e-13;
     if (last || (j + 1) % 10 == 0) {
       std::vector<double> values;
-      std::vector<double> z;
-      tridiag_eigen(alpha, beta, values, &z);
+      std::vector<double> last_row;
+      tridiag_eigen_last_row(alpha, beta, values, last_row);
       const std::size_t k = alpha.size();
       const int want = std::min<int>(options.num_eigenpairs, static_cast<int>(k));
       bool all_converged = true;
       for (int e = 0; e < want; ++e) {
-        const double resid = std::fabs(b * z[(k - 1) * k + static_cast<std::size_t>(e)]);
+        const double resid = std::fabs(b * last_row[static_cast<std::size_t>(e)]);
         if (resid > options.tolerance) {
           all_converged = false;
           break;
@@ -413,11 +415,13 @@ LanczosResult rank1_plain(const LinearOperator& op, std::size_t n,
         result.iterations = j + 1;
         result.converged = all_converged || b < 1e-13;
         result.values.assign(values.begin(), values.begin() + want);
+        std::vector<double> z;
+        tridiag_eigen(alpha, beta, values, &z, static_cast<std::size_t>(want));
         result.vectors.assign(static_cast<std::size_t>(want), std::vector<double>(n, 0.0));
         for (int e = 0; e < want; ++e) {
           auto& vec = result.vectors[static_cast<std::size_t>(e)];
           for (std::size_t i = 0; i < k; ++i) {
-            axpy(z[i * k + static_cast<std::size_t>(e)], basis[i], vec);
+            axpy(z[static_cast<std::size_t>(e) * k + i], basis[i], vec);
           }
           const double nv = norm(vec);
           if (nv > 0.0) {
@@ -499,13 +503,13 @@ LanczosResult rank1_transformed(const LinearOperator& base_op, const LinearOpera
     }
     const bool last = (j + 1 == max_iter) || b < 1e-13;
     if (last || (j + 1) % 10 == 0) {
-      std::vector<double> values;
-      std::vector<double> z;
-      tridiag_eigen(alpha, beta, values, &z);  // Ritz pairs of the SURROGATE
       const std::size_t k = alpha.size();
       const int want = std::min<int>(options.num_eigenpairs, static_cast<int>(k));
+      std::vector<double> values;
+      std::vector<double> z;  // Ritz pairs of the SURROGATE
+      tridiag_eigen(alpha, beta, values, &z, static_cast<std::size_t>(want));
       TransformedCandidates cands =
-          rayleigh_candidates(base_op, basis, k, z, k, want, options.tolerance, n);
+          rayleigh_candidates(base_op, basis, k, z, want, options.tolerance, n);
       if (cands.all_converged || last) {
         result.iterations = j + 1;
         result.converged = cands.all_converged;
@@ -658,7 +662,7 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
     for (std::size_t r = 0; r < m; ++r) {
       for (std::size_t c = 0; c < m; ++c) projected[r * m + c] = tmat[r * max_basis + c];
     }
-    sym_eigen(projected, m, ritz_values, &ritz_vectors);
+    sym_eigen(projected, m, ritz_values, &ritz_vectors, static_cast<std::size_t>(want));
 
     // Residual of Ritz pair (θ_e, y_e): A Q_m y - θ Q_m y lies in
     // span{q_m..q_{basis_count-1}} ∪ {un-appended remainders} (full
@@ -673,14 +677,14 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
       for (std::size_t i = m; i < basis_count; ++i) {
         double s = 0.0;
         for (std::size_t c = 0; c < m; ++c) {
-          s += tmat[i * max_basis + c] * ritz_vectors[c * m + static_cast<std::size_t>(e)];
+          s += tmat[i * max_basis + c] * ritz_vectors[static_cast<std::size_t>(e) * m + c];
         }
         r2 += s * s;
       }
       double resid = std::sqrt(r2);
       for (std::size_t c = 0; c < m; ++c) {
         if (dropped[c] > 0.0) {
-          resid += dropped[c] * std::fabs(ritz_vectors[c * m + static_cast<std::size_t>(e)]);
+          resid += dropped[c] * std::fabs(ritz_vectors[static_cast<std::size_t>(e) * m + c]);
         }
       }
       if (resid > options.tolerance) all_converged = false;
@@ -694,7 +698,7 @@ LanczosResult block_plain(const LinearOperator& op, std::size_t n,
     for (int e = 0; e < want; ++e) {
       auto& vec = result.vectors[static_cast<std::size_t>(e)];
       for (std::size_t i = 0; i < m; ++i) {
-        axpy(ritz_vectors[i * m + static_cast<std::size_t>(e)], basis[i], vec);
+        axpy(ritz_vectors[static_cast<std::size_t>(e) * m + i], basis[i], vec);
       }
       const double nv = norm(vec);
       if (nv > 0.0) {
@@ -818,10 +822,10 @@ LanczosResult block_transformed(const LinearOperator& base_op, const LinearOpera
     for (std::size_t r = 0; r < m; ++r) {
       for (std::size_t c = 0; c < m; ++c) projected[r * m + c] = tmat[r * max_basis + c];
     }
-    sym_eigen(projected, m, ritz_values, &ritz_vectors);
+    sym_eigen(projected, m, ritz_values, &ritz_vectors, static_cast<std::size_t>(want));
 
     TransformedCandidates cands =
-        rayleigh_candidates(base_op, basis, m, ritz_vectors, m, want, options.tolerance, n);
+        rayleigh_candidates(base_op, basis, m, ritz_vectors, want, options.tolerance, n);
     if (!cands.all_converged && !no_more) continue;
 
     result.iterations = static_cast<int>(m);

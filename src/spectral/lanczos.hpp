@@ -2,7 +2,7 @@
 // eigenpairs of an implicit symmetric operator.
 //
 // Full reorthogonalization is O(iter^2 · n) but rock solid; iteration
-// counts stay modest (<= 300) for the graph sizes this library handles.
+// counts are capped (300 by default, 400 for the Fiedler solve).
 // It runs as two-pass classical Gram–Schmidt (CGS2): all coefficients
 // against the incoming vector, then one fused blocked rank-k update —
 // the dominant FLOPs of a solve, streamed once per pass and OpenMP-

@@ -68,8 +68,8 @@ TEST(SymEigen, MatchesTheJacobiOracle) {
   for (std::size_t e = 0; e < n; ++e) {
     for (std::size_t i = 0; i < n; ++i) {
       double av = 0.0;
-      for (std::size_t j = 0; j < n; ++j) av += a[i * n + j] * sym_vectors[j * n + e];
-      EXPECT_NEAR(av, sym_values[e] * sym_vectors[i * n + e], 1e-9);
+      for (std::size_t j = 0; j < n; ++j) av += a[i * n + j] * sym_vectors[e * n + j];
+      EXPECT_NEAR(av, sym_values[e] * sym_vectors[e * n + i], 1e-9);
     }
   }
 }

@@ -140,6 +140,26 @@ TEST(PruneEngine, FastModeEdgeTracesReplay) {
   EXPECT_TRUE(v.valid) << v.reason;
 }
 
+TEST(PruneEngine, PinnedSolveCountsOnAFixedFixture) {
+  // Pinned reference counts for one fixed Prune2 fixture, one fast run and
+  // one deterministic run on the same engine.  Which sets are culled, and
+  // so how many cull iterations and Fiedler solves a run takes, follows the
+  // bits of every solve: a spectral change that moves an iteration count
+  // or a vector bit shows up here as a diff.
+  const Graph g = Mesh({32, 32}).graph();
+  const VertexSet alive = random_node_faults(g, 0.25, 2024);
+  PruneEngine engine(g, ExpansionKind::Edge);
+  const PruneResult fast = engine.run(alive, 0.3, 0.25, PruneEngineOptions::fast());
+  const PruneResult det = engine.run(alive, 0.3, 0.25);
+  EXPECT_EQ(alive.count(), 764U);
+  EXPECT_EQ(fast.survivors.count(), 91U);
+  EXPECT_EQ(det.survivors.count(), 131U);
+  EXPECT_EQ(engine.stats().iterations, 27U);
+  EXPECT_EQ(engine.stats().eigensolves, 10U);
+  EXPECT_EQ(engine.stats().stale_sweeps, 6U);
+  EXPECT_EQ(engine.stats().stale_sweep_hits, 4U);
+}
+
 TEST(PruneEngine, HandlesShatteredAndTinyMasks) {
   const Graph g = Mesh({6, 6}).graph();
   // Empty mask.
