@@ -1,7 +1,8 @@
 // Shared scaffolding for the experiment benches.
 //
-// Every E*/A* binary regenerates one experiment from EXPERIMENTS.md: it
-// prints a header naming the paper claim, then a markdown table whose
+// Every E*/A* binary regenerates one paper experiment (the E1–E12
+// numbering of reproduce/README.md) or ablation (A1–A4): it prints a
+// header naming the paper claim, then a markdown table whose
 // rows include the paper's predicted quantity next to the measured one.
 // All binaries run with no arguments (CI mode: small sizes, seconds of
 // runtime) and accept --scale=N / --trials=N / --samples=N to grow the

@@ -90,9 +90,6 @@
 //       store, --serve/--connect workers and the daemon.
 //
 // Other flags: --alpha=A --eps=E (<= 0: measured / canonical), --fast,
-// --spectral-mode=plain|filtered|shift_invert|auto --filter-degree=D
-// (eigensolver acceleration for the prune engine's spectral stage and
-// for any requested metric that declares the knob; see DESIGN.md §10),
 // --threads=N (shard jobs across the engine pool; results are
 // bit-identical for any N — see DESIGN.md §7/§8), --csv (emit CSV
 // instead of the aligned tables), --json[=path] (the CampaignReport,
@@ -101,7 +98,8 @@
 // --stats (engine totals after the runs; table form only),
 // --cache-budget=MB (byte budget for the process EngineCache; LRU-evicts
 // idle entries, results unchanged), --cache-stats (cache counters +
-// residency after the run).
+// residency after the run).  Any other --flag is an error naming it (a
+// typo such as --thread=4 must not silently run with the default).
 #include <algorithm>
 #include <chrono>
 #include <csignal>
@@ -397,8 +395,7 @@ void print_cache_stats(std::ostream& out) {
   // returning results the flags did not influence.
   for (const char* flag : {"scenario", "topology", "topo-params", "fault", "fault-params",
                            "kind", "alpha", "eps", "fast", "verify", "expansion", "metrics",
-                           "spectral-mode", "filter-degree", "seed", "sweep", "sweep-values",
-                           "sweep-mode", "churn-steps"}) {
+                           "seed", "sweep", "sweep-values", "sweep-mode", "churn-steps"}) {
     FNE_REQUIRE(!cli.has(flag), std::string("--") + flag +
                                     " does not apply to --campaign; set it in the campaign "
                                     "file (or run a single scenario)");
@@ -634,11 +631,23 @@ int run(const Cli& cli) {
 
 int main(int argc, char** argv) {
   const fne::Cli cli(argc, argv);
-  if (cli.has("list")) {
-    fne::list_registries();
-    return 0;
-  }
   try {
+    // Every flag any mode reads; one list so a flag no mode reads fails
+    // up front instead of being silently ignored.
+    cli.require_known({"alpha", "backoff-base-ms", "backoff-max-ms", "bind", "cache-budget",
+                       "cache-stats", "campaign", "churn-steps", "connect", "connect-attempts",
+                       "csv", "daemon", "eps", "expansion", "fast", "fault", "fault-params",
+                       "heartbeat-ms", "idle-grace-ms", "job-timeout-ms", "json", "kind", "list",
+                       "max-request-bytes", "metrics", "p-join", "p-leave", "payload", "ping",
+                       "port-file", "queue-deadline-ms", "queue-depth", "reps", "resume",
+                       "retry-after-ms", "retry-budget", "scenario", "seed", "send", "serve",
+                       "service-stats", "service-workers", "stats", "store", "store-stats",
+                       "sweep", "sweep-mode", "sweep-values", "threads", "timeout-ms",
+                       "topo-params", "topology", "verify", "worker-name", "workers"});
+    if (cli.has("list")) {
+      fne::list_registries();
+      return 0;
+    }
     return fne::run(cli);
   } catch (const fne::PreconditionError& e) {
     std::cerr << "error: " << e.what() << "\n(use --list to see registered names and params)\n";

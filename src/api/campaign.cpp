@@ -6,7 +6,6 @@
 
 #include "api/metrics.hpp"
 #include "api/registry.hpp"
-#include "spectral/lanczos.hpp"
 #include "store/key.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
@@ -103,8 +102,7 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
   }
   if (const JsonValue* v = obj.find("prune")) {
     check_keys(*v, "prune",
-               {"kind", "alpha", "epsilon", "fast", "max_iterations", "spectral_mode",
-                "filter_degree"});
+               {"kind", "alpha", "epsilon", "fast", "max_iterations"});
     if (const JsonValue* kind = v->find("kind")) {
       const std::string& k = kind->as_string();
       FNE_REQUIRE(k == "node" || k == "edge", "campaign: prune.kind must be node or edge");
@@ -115,17 +113,6 @@ void apply_scenario_json(Scenario& s, const JsonValue& obj) {
     if (const JsonValue* f = v->find("fast")) s.prune.fast = f->as_bool();
     if (const JsonValue* m = v->find("max_iterations")) {
       s.prune.max_iterations = static_cast<int>(m->as_int());
-    }
-    // Eigensolver acceleration for the cut finder's spectral stage
-    // (DESIGN.md §10).  A typo'd mode name fails here, at parse time,
-    // with the valid names listed.
-    if (const JsonValue* m = v->find("spectral_mode")) {
-      s.prune.finder.spectral_mode = spectral_mode_from_string(m->as_string());
-    }
-    if (const JsonValue* d = v->find("filter_degree")) {
-      const auto degree = static_cast<int>(d->as_int());
-      FNE_REQUIRE(degree >= 0, "campaign: prune.filter_degree must be >= 0");
-      s.prune.finder.filter_degree = degree;
     }
   }
   if (const JsonValue* v = obj.find("metrics")) {

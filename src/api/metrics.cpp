@@ -63,33 +63,18 @@ void check_declared(const MetricEntry& entry, const Params& params) {
   return record(name, obj, "-");
 }
 
-/// Shared spectral_mode/filter_degree param handling for the two spectral
-/// metrics (DESIGN.md §10).  validate_spectral_params runs at campaign
-/// parse time via MetricEntry::validate; accel_from_params re-parses at
-/// compute time and fills the operator-specific Gershgorin bound.
-void validate_spectral_params(const Params& params) {
-  (void)spectral_mode_from_string(params.get_str("spectral_mode", "auto"));
-  FNE_REQUIRE(params.get_int("filter_degree", 0) >= 0, "filter_degree must be >= 0");
-}
-
-[[nodiscard]] SpectralAccel accel_from_params(const Params& params, const SubCsr& sub) {
-  SpectralAccel accel;
-  accel.mode = spectral_mode_from_string(params.get_str("spectral_mode", "auto"));
-  accel.filter_degree = static_cast<int>(params.get_int("filter_degree", 0));
-  accel.op_upper_bound = gershgorin_upper_bound(sub);
-  return accel;
-}
-
 /// Smallest k nontrivial Laplacian eigenvalues over a prebuilt compact
 /// operator (host assumed connected), via ONE blocked solve — the k >= 2
-/// consumer the blocked kernel exists for.
-[[nodiscard]] LanczosResult host_spectrum(const SubCsrLaplacian& lap, int k,
-                                          std::uint64_t seed, const SpectralAccel& accel) {
+/// consumer the blocked kernel exists for.  kAuto with the sub-CSR's
+/// Gershgorin bound: plain below kFilteredAutoDim, filtered above
+/// (DESIGN.md §10).
+[[nodiscard]] LanczosResult host_spectrum(const SubCsr& sub, const SubCsrLaplacian& lap, int k,
+                                          std::uint64_t seed) {
   BlockLanczosOptions opts;
   opts.num_eigenpairs = k;
   opts.tolerance = 1e-8;
   opts.seed = seed;
-  opts.accel = accel;
+  opts.accel = SpectralAccel{SpectralMode::kAuto, gershgorin_upper_bound(sub)};
   const std::vector<std::vector<double>> defl{std::vector<double>(lap.dim(), 1.0)};
   return lanczos_smallest_block(
       [&lap](const std::vector<double>& x, std::vector<double>& y) { lap.apply(x, y); },
@@ -238,8 +223,7 @@ void validate_spectral_params(const Params& params) {
     SubCsr sub;
     sub.build(ctx.graph, host);
     const SubCsrLaplacian lap(sub);
-    const LanczosResult spec =
-        host_spectrum(lap, spectral_dims, ctx.seed, accel_from_params(params, sub));
+    const LanczosResult spec = host_spectrum(sub, lap, spectral_dims, ctx.seed);
     obj.put_numbers("spectral", spec.values).put("spectral_converged", spec.converged);
   }
   return record("embedding_quality", obj,
@@ -265,8 +249,7 @@ void validate_spectral_params(const Params& params) {
   SubCsr sub;
   sub.build(ctx.graph, comp);
   const SubCsrLaplacian lap(sub);
-  const SpectralAccel accel = accel_from_params(params, sub);
-  const LanczosResult bottom = host_spectrum(lap, eigenpairs, ctx.seed, accel);
+  const LanczosResult bottom = host_spectrum(sub, lap, eigenpairs, ctx.seed);
   if (bottom.values.empty()) {
     return undefined_record("expander_certificate", "eigensolve failed");
   }
@@ -276,13 +259,8 @@ void validate_spectral_params(const Params& params) {
   top_opts.tolerance = 1e-8;
   top_opts.max_iterations = 400;
   // The -L operator's spectrum lives in [-gershgorin, 0]: its upper bound
-  // is 0, and a useful shift must sit below -lambda_max (see
-  // spectral/expander_certificate.cpp for the same construction).
-  top_opts.accel = accel;
-  top_opts.accel.op_upper_bound = 0.0;
-  if (resolve_spectral_mode(top_opts.accel, lap.dim()) == SpectralMode::kShiftInvert) {
-    top_opts.accel.shift = -(gershgorin_upper_bound(sub) + 1.0);
-  }
+  // is 0 (spectral/expander_certificate.cpp makes the same construction).
+  top_opts.accel = SpectralAccel{SpectralMode::kAuto, 0.0};
   const LanczosResult top = lanczos_smallest(
       [&lap](const std::vector<double>& x, std::vector<double>& y) {
         lap.apply(x, y);
@@ -368,14 +346,12 @@ std::vector<std::string> MetricsRegistry::names() const {
 void MetricsRegistry::check(const std::string& name, const Params& params) const {
   const MetricEntry& entry = at(name);
   check_declared(entry, params);
-  if (entry.validate) entry.validate(params);
 }
 
 MetricRecord MetricsRegistry::compute(const std::string& name, const MetricContext& ctx,
                                       const Params& params) const {
   const MetricEntry& entry = at(name);
   check_declared(entry, params);
-  if (entry.validate) entry.validate(params);
   MetricRecord out = entry.compute(ctx, params);
   out.name = name;
   return out;
@@ -385,49 +361,38 @@ MetricsRegistry::MetricsRegistry() {
   add({"fragmentation",
        "fragmentation profile of the survivor set (largest component, gamma)",
        {},
-       metric_fragmentation,
-       {}});
+       metric_fragmentation});
   add({"expansion_bracket",
        "certified expansion bracket of the survivor set (costly: extra cut searches)",
        {{"exact_limit", "14", "exact enumeration cap"}},
        metric_expansion_bracket,
-       {},
        /*split_job=*/true});
   add({"verify_trace",
        "replay-verify the prune trace (prune/verify.hpp certification)",
        {},
-       metric_verify_trace,
-       {}});
+       metric_verify_trace});
   add({"mesh_span",
        "Theorem 3.6 / Lemma 3.7 on the scenario's mesh: constructive span tree on sampled "
        "compact sets, exact span on tiny meshes",
        {{"samples", "24", "sampled compact sets"},
         {"exact", "auto", "exhaustive exact span (default: n <= 24)"}},
-       metric_mesh_span,
-       {}});
+       metric_mesh_span});
   add({"span_estimate",
        "sampled span estimate of the fault-free topology (paper Eq. 1, the §4 conjecture)",
        {{"samples", "8", "samples per size fraction"},
         {"fractions", "0.05,0.1,0.2,0.35,0.5", "target sizes as fractions of n"}},
        metric_span_estimate,
-       {},
        /*split_job=*/true});
   add({"embedding_quality",
        "load/congestion/dilation of embedding the fault-free guest into the largest "
        "surviving component, plus its blocked-Lanczos spectral profile",
-       {{"spectral_dims", "2", "smallest nontrivial Laplacian eigenvalues to report (0: skip)"},
-        {"spectral_mode", "auto", "eigensolver: plain|filtered|shift_invert|auto"},
-        {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
-       metric_embedding_quality,
-       validate_spectral_params});
+       {{"spectral_dims", "2", "smallest nontrivial Laplacian eigenvalues to report (0: skip)"}},
+       metric_embedding_quality});
   add({"expander_certificate",
        "spectral expansion certificate of the largest surviving component (Cheeger lower "
        "bound; mixing-lemma fields when regular)",
-       {{"eigenpairs", "2", "bottom eigenpairs from one blocked solve"},
-        {"spectral_mode", "auto", "eigensolver: plain|filtered|shift_invert|auto"},
-        {"filter_degree", "0", "Chebyshev degree for filtered solves (0: auto)"}},
-       metric_expander_certificate,
-       validate_spectral_params});
+       {{"eigenpairs", "2", "bottom eigenpairs from one blocked solve"}},
+       metric_expander_certificate});
 }
 
 }  // namespace fne

@@ -1,11 +1,9 @@
 #include "api/scenario_cli.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "api/metrics.hpp"
-#include "spectral/lanczos.hpp"
 #include "util/require.hpp"
 
 namespace fne {
@@ -34,19 +32,6 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
   base.prune.alpha = cli.get_double("alpha", base.prune.alpha);
   base.prune.epsilon = cli.get_double("eps", base.prune.epsilon);
   base.prune.fast = cli.has("fast") || base.prune.fast;
-  // Eigensolver acceleration (DESIGN.md §10): applied to the prune
-  // engine's spectral stage, and below to every requested metric that
-  // declares the knob, so one flag steers the whole run.
-  const bool has_spectral_mode = cli.has("spectral-mode");
-  const bool has_filter_degree = cli.has("filter-degree");
-  if (has_spectral_mode) {
-    base.prune.finder.spectral_mode = spectral_mode_from_string(cli.get("spectral-mode", ""));
-  }
-  if (has_filter_degree) {
-    const auto degree = static_cast<int>(cli.get_int("filter-degree", 0));
-    FNE_REQUIRE(degree >= 0, "--filter-degree must be >= 0");
-    base.prune.finder.filter_degree = degree;
-  }
   base.metrics.verify_trace = cli.has("verify") || base.metrics.verify_trace;
   base.metrics.expansion = cli.has("expansion") || base.metrics.expansion;
   if (cli.has("metrics")) {
@@ -62,19 +47,6 @@ Scenario scenario_overrides_from_cli(Scenario base, const Cli& cli) {
       base.metrics.requests.push_back({name, Params{}});
     }
     FNE_REQUIRE(!base.metrics.requests.empty(), "--metrics needs at least one metric name");
-  }
-  if (has_spectral_mode || has_filter_degree) {
-    for (MetricRequest& request : base.metrics.requests) {
-      const MetricEntry& entry = MetricsRegistry::instance().at(request.name);
-      const bool declares = std::any_of(entry.params.begin(), entry.params.end(),
-                                        [](const ParamSpec& p) { return p.key == "spectral_mode"; });
-      if (!declares) continue;
-      if (has_spectral_mode) request.params.set("spectral_mode", cli.get("spectral-mode", ""));
-      if (has_filter_degree) {
-        request.params.set("filter_degree", cli.get_int("filter-degree", 0));
-      }
-      MetricsRegistry::instance().check(request.name, request.params);
-    }
   }
   base.repetitions = static_cast<int>(cli.get_int("reps", base.repetitions));
   base.seed = cli.get_seed(base.seed);

@@ -10,8 +10,7 @@
 namespace fne {
 
 ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive,
-                                     const ExpanderCertOptions& options) {
-  const std::uint64_t seed = options.seed;
+                                     std::uint64_t seed) {
   const vid k = alive.count();
   FNE_REQUIRE(k >= 3, "expander certificate needs >= 3 vertices");
   // Verify d-regularity within the mask.
@@ -36,7 +35,6 @@ ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive,
   FiedlerOptions fopts;
   fopts.seed = seed;
   fopts.sub = &sub;
-  fopts.accel = options.accel;
   const FiedlerResult fiedler = fiedler_vector(g, alive, fopts);
   cert.lambda2_adj = cert.degree - fiedler.lambda2;
 
@@ -47,13 +45,8 @@ ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive,
   opts.seed = seed + 1;
   opts.max_iterations = 400;
   // The top solve runs on -L, whose spectrum sits in [-λmax(L), 0]: the
-  // upper bound is 0, and shift-invert needs σ < -λmax(L) so -L - σI
-  // stays positive definite — one below the Gershgorin bound does it.
-  opts.accel = options.accel;
-  opts.accel.op_upper_bound = 0.0;
-  if (opts.accel.mode == SpectralMode::kShiftInvert) {
-    opts.accel.shift = -(gershgorin_upper_bound(sub) + 1.0);
-  }
+  // upper bound is 0.
+  opts.accel = SpectralAccel{SpectralMode::kAuto, 0.0};
   const auto neg = lanczos_smallest(
       [&lap](const std::vector<double>& x, std::vector<double>& y) {
         lap.apply(x, y);
@@ -69,12 +62,6 @@ ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive,
   cert.is_ramanujan = cert.lambda <= 2.0 * std::sqrt(cert.degree - 1.0) + 1e-6;
   cert.converged = fiedler.converged && neg.converged;
   return cert;
-}
-
-ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive, std::uint64_t seed) {
-  ExpanderCertOptions options;
-  options.seed = seed;
-  return certify_expander(g, alive, options);
 }
 
 ExpanderCertificate certify_expander(const Graph& g, std::uint64_t seed) {

@@ -6,13 +6,15 @@
 // (this is the same bound as λ₂(L)/2 with L = dI - A, but computing it
 // from the adjacency top of the spectrum exercises the other end of the
 // Lanczos machinery and also yields λ for mixing-time statements).
+//
+// Both solves run in SpectralMode::kAuto (DESIGN.md §10): plain below
+// kFilteredAutoDim, Chebyshev-filtered at or above it.
 #pragma once
 
 #include <cstdint>
 
 #include "core/graph.hpp"
 #include "core/vertex_set.hpp"
-#include "spectral/lanczos.hpp"
 
 namespace fne {
 
@@ -27,19 +29,8 @@ struct ExpanderCertificate {
   bool converged = false;
 };
 
-struct ExpanderCertOptions {
-  std::uint64_t seed = 7;
-  /// Acceleration for both ends of the spectrum (DESIGN.md §10).  The
-  /// bottom solve uses it as given; the top solve (on -L) re-derives its
-  /// upper bound (0) and, for shift-invert, a shift that keeps -L - σI
-  /// positive definite.
-  SpectralAccel accel = SpectralAccel{SpectralMode::kAuto};
-};
-
 /// Certify the subgraph induced by `alive`, which must be connected and
 /// d-regular within the mask.
-[[nodiscard]] ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive,
-                                                   const ExpanderCertOptions& options);
 [[nodiscard]] ExpanderCertificate certify_expander(const Graph& g, const VertexSet& alive,
                                                    std::uint64_t seed = 7);
 

@@ -1,7 +1,5 @@
 #include "spectral/fiedler.hpp"
 
-#include <cmath>
-
 #include "core/traversal.hpp"
 #include "spectral/operator.hpp"
 #include "util/require.hpp"
@@ -31,10 +29,7 @@ FiedlerResult fiedler_vector(const Graph& g, const VertexSet& alive,
   opts.max_iterations = options.max_iterations;
   opts.tolerance = options.tolerance;
   opts.scratch = options.scratch;
-  opts.accel = options.accel;
-  if (!std::isfinite(opts.accel.op_upper_bound)) {
-    opts.accel.op_upper_bound = gershgorin_upper_bound(*sub);
-  }
+  opts.accel = SpectralAccel{SpectralMode::kAuto, gershgorin_upper_bound(*sub)};
 
   // Restrict the warm-start vector (original ids) to the masked subspace.
   std::vector<double> initial;

@@ -33,14 +33,13 @@ struct FiedlerOptions {
   /// exactly — the PruneEngine maintains one incrementally across culls).
   /// nullptr: the solve builds its own, amortized over its 40+ applies.
   const SubCsr* sub = nullptr;
-  /// Acceleration mode (DESIGN.md §10).  kAuto: plain below
-  /// kFilteredAutoDim, Chebyshev-filtered at or above it.  A non-finite
-  /// op_upper_bound is filled from gershgorin_upper_bound over the sub-CSR.
-  SpectralAccel accel = SpectralAccel{SpectralMode::kAuto};
 };
 
 /// λ₂ and Fiedler vector of the subgraph induced by `alive`, which must be
 /// connected and have >= 2 vertices.  The all-ones kernel is deflated.
+/// The solve runs in SpectralMode::kAuto with the sub-CSR's Gershgorin
+/// bound: plain below kFilteredAutoDim, Chebyshev-filtered at or above it
+/// (DESIGN.md §10).
 [[nodiscard]] FiedlerResult fiedler_vector(const Graph& g, const VertexSet& alive,
                                            const FiedlerOptions& options);
 [[nodiscard]] FiedlerResult fiedler_vector(const Graph& g, const VertexSet& alive,

@@ -16,27 +16,7 @@
 
 namespace fne {
 
-SpectralMode spectral_mode_from_string(const std::string& name) {
-  if (name == "plain") return SpectralMode::kPlain;
-  if (name == "filtered") return SpectralMode::kFiltered;
-  if (name == "shift_invert") return SpectralMode::kShiftInvert;
-  if (name == "auto") return SpectralMode::kAuto;
-  FNE_REQUIRE(false, "unknown spectral_mode '" + name +
-                         "' (expected plain | filtered | shift_invert | auto)");
-  return SpectralMode::kPlain;  // unreachable
-}
-
-const char* spectral_mode_name(SpectralMode mode) {
-  switch (mode) {
-    case SpectralMode::kPlain: return "plain";
-    case SpectralMode::kFiltered: return "filtered";
-    case SpectralMode::kShiftInvert: return "shift_invert";
-    case SpectralMode::kAuto: return "auto";
-  }
-  return "plain";
-}
-
-SpectralMode resolve_spectral_mode(const SpectralAccel& accel, std::size_t n) {
+SpectralMode resolve_accel_mode(const SpectralAccel& accel, std::size_t n) {
   if (accel.mode != SpectralMode::kAuto) return accel.mode;
   if (n >= kFilteredAutoDim && std::isfinite(accel.op_upper_bound)) {
     return SpectralMode::kFiltered;
@@ -85,9 +65,8 @@ std::vector<std::vector<double>> normalize_deflation(
 }
 
 // ---------------------------------------------------------------------------
-// Surrogate operators (DESIGN.md §10).  Both are pure functions of their
-// inputs: the Chebyshev recurrence is elementwise on top of the base apply,
-// and the CG inner solve uses only the chunk-deterministic kernels, so a
+// Chebyshev surrogate operator (DESIGN.md §10).  A pure function of its
+// inputs: the recurrence is elementwise on top of the base apply, so a
 // surrogate apply is bit-identical for any OMP thread count.
 // ---------------------------------------------------------------------------
 
@@ -107,8 +86,7 @@ struct FilterPlan {
 /// the amplified region.  The auto degree grows as the wanted fraction of
 /// the spectrum shrinks (d ≈ 5/(2√r), r = relative cut position), clamped to
 /// [6, 24] so one surrogate apply stays a bounded number of base applies.
-FilterPlan plan_filter(const std::vector<double>& probe_values, int want, int requested_degree,
-                       double upper) {
+FilterPlan plan_filter(const std::vector<double>& probe_values, int want, double upper) {
   FilterPlan plan;
   if (probe_values.empty() || !std::isfinite(upper)) return plan;
   const double lo = probe_values.front();
@@ -117,12 +95,8 @@ FilterPlan plan_filter(const std::vector<double>& probe_values, int want, int re
   const double theta = probe_values[theta_idx];
   const double cut = theta + 0.1 * (upper - theta);
   if (!(cut < upper) || !(upper - cut > 1e-12 * std::max(1.0, std::fabs(upper)))) return plan;
-  int degree = requested_degree;
-  if (degree <= 0) {
-    const double r = std::clamp((cut - lo) / (upper - lo), 1e-6, 0.9);
-    degree = static_cast<int>(std::ceil(5.0 / (2.0 * std::sqrt(r))));
-    degree = std::clamp(degree, 6, 24);
-  }
+  const double r = std::clamp((cut - lo) / (upper - lo), 1e-6, 0.9);
+  const int degree = std::clamp(static_cast<int>(std::ceil(5.0 / (2.0 * std::sqrt(r)))), 6, 24);
   plan.usable = true;
   plan.map_mul = 2.0 / (upper - cut);
   plan.map_add = -(upper + cut) / (upper - cut);
@@ -203,77 +177,6 @@ class ChebyshevSurrogate {
   const LinearOperator* base_;
   FilterPlan plan_;
   mutable std::vector<double> t_prev_, t_cur_, y_;
-};
-
-/// y = −(L − σI)^{-1} x via conjugate gradients restricted to the deflated
-/// subspace.  The RHS and every residual are projected against the
-/// deflation span, so with σ = 0 and a PSD operator whose kernel is
-/// deflated (the Fiedler case) the system CG actually sees is positive
-/// definite.  Non-positive curvature breaks the loop deterministically —
-/// the current iterate is still a fixed function of the inputs.
-class ShiftInvertSurrogate {
- public:
-  ShiftInvertSurrogate(const LinearOperator& base, const std::vector<std::vector<double>>& defl,
-                       double shift, double tolerance, int max_iterations)
-      : base_(&base),
-        defl_(&defl),
-        shift_(shift),
-        tolerance_(tolerance),
-        max_iterations_(max_iterations) {}
-
-  void apply(const std::vector<double>& b, std::vector<double>& out) const {
-    const std::size_t n = b.size();
-    r_ = b;
-    orthogonalize(*defl_, defl_->size(), r_, coeff_);
-    x_.assign(n, 0.0);
-    const double nb = norm(r_);
-    out.resize(n);
-    if (!(nb > 0.0)) {
-      std::fill(out.begin(), out.end(), 0.0);
-      return;
-    }
-    p_ = r_;
-    ap_.resize(n);
-    double rs = nb * nb;
-    for (int it = 0; it < max_iterations_; ++it) {
-      (*base_)(p_, ap_);
-      if (shift_ != 0.0) axpy(-shift_, p_, ap_);
-      const double pap = dot(p_, ap_);
-      if (!(pap > 0.0)) break;  // curvature lost (kernel direction / rounding)
-      const double a = rs / pap;
-      axpy(a, p_, x_);
-      axpy(-a, ap_, r_);
-      orthogonalize(*defl_, defl_->size(), r_, coeff_);
-      const double rs_new = dot(r_, r_);
-      if (std::sqrt(rs_new) <= tolerance_ * nb) break;
-      const double beta = rs_new / rs;
-      double* pp = p_.data();
-      const double* rp = r_.data();
-#ifdef _OPENMP
-#pragma omp parallel for simd schedule(static) if (n >= kSpectralParallelDim)
-#else
-      FNE_PRAGMA_SIMD
-#endif
-      for (std::size_t i = 0; i < n; ++i) pp[i] = rp[i] + beta * pp[i];
-      rs = rs_new;
-    }
-    const double* xp = x_.data();
-    double* op = out.data();
-#ifdef _OPENMP
-#pragma omp parallel for simd schedule(static) if (n >= kSpectralParallelDim)
-#else
-    FNE_PRAGMA_SIMD
-#endif
-    for (std::size_t i = 0; i < n; ++i) op[i] = -xp[i];
-  }
-
- private:
-  const LinearOperator* base_;
-  const std::vector<std::vector<double>>* defl_;
-  double shift_;
-  double tolerance_;
-  int max_iterations_;
-  mutable std::vector<double> r_, p_, ap_, x_, coeff_;
 };
 
 // ---------------------------------------------------------------------------
@@ -856,16 +759,8 @@ LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
     return result;
   }
 
-  const SpectralMode mode = resolve_spectral_mode(options.accel, n);
+  const SpectralMode mode = resolve_accel_mode(options.accel, n);
   if (mode == SpectralMode::kPlain) return rank1_plain(op, n, defl, usable, options);
-
-  if (mode == SpectralMode::kShiftInvert) {
-    ShiftInvertSurrogate surrogate(op, defl, options.accel.shift, options.accel.cg_tolerance,
-                                   options.accel.cg_max_iterations);
-    const LinearOperator sur = [&surrogate](const std::vector<double>& x,
-                                            std::vector<double>& y) { surrogate.apply(x, y); };
-    return rank1_transformed(op, sur, n, defl, usable, options, options.initial);
-  }
 
   // kFiltered: probe with the plain solver first.  Cheap spectra converge
   // inside the probe budget and return directly; otherwise the probe's
@@ -878,8 +773,8 @@ LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
   LanczosResult probe = rank1_plain(op, n, defl, usable, probe_opts);
   if (probe.converged) return probe;
 
-  const FilterPlan plan = plan_filter(probe.values, options.num_eigenpairs,
-                                      options.accel.filter_degree, options.accel.op_upper_bound);
+  const FilterPlan plan =
+      plan_filter(probe.values, options.num_eigenpairs, options.accel.op_upper_bound);
   if (!plan.usable) return rank1_plain(op, n, defl, usable, options);
 
   ChebyshevSurrogate surrogate(op, plan);
@@ -908,16 +803,8 @@ LanczosResult lanczos_smallest_block(const LinearOperator& op, std::size_t n,
     return result;
   }
 
-  const SpectralMode mode = resolve_spectral_mode(options.accel, n);
+  const SpectralMode mode = resolve_accel_mode(options.accel, n);
   if (mode == SpectralMode::kPlain) return block_plain(op, n, defl, usable, options);
-
-  if (mode == SpectralMode::kShiftInvert) {
-    ShiftInvertSurrogate surrogate(op, defl, options.accel.shift, options.accel.cg_tolerance,
-                                   options.accel.cg_max_iterations);
-    const LinearOperator sur = [&surrogate](const std::vector<double>& x,
-                                            std::vector<double>& y) { surrogate.apply(x, y); };
-    return block_transformed(op, sur, n, defl, usable, options, nullptr);
-  }
 
   FNE_REQUIRE(std::isfinite(options.accel.op_upper_bound),
               "filtered mode needs a finite accel.op_upper_bound (e.g. gershgorin_upper_bound)");
@@ -929,8 +816,8 @@ LanczosResult lanczos_smallest_block(const LinearOperator& op, std::size_t n,
   LanczosResult probe = block_plain(op, n, defl, usable, probe_opts);
   if (probe.converged) return probe;
 
-  const FilterPlan plan = plan_filter(probe.values, options.num_eigenpairs,
-                                      options.accel.filter_degree, options.accel.op_upper_bound);
+  const FilterPlan plan =
+      plan_filter(probe.values, options.num_eigenpairs, options.accel.op_upper_bound);
   if (!plan.usable) return block_plain(op, n, defl, usable, options);
 
   ChebyshevSurrogate surrogate(op, plan);

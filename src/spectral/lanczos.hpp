@@ -20,39 +20,33 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace fne {
 
 /// Convergence-acceleration mode of a solve (DESIGN.md §10).
 ///
-///   kPlain       — Krylov recurrence directly on the operator (the
-///                  pre-PR-6 behavior, bit for bit).
-///   kFiltered    — Chebyshev polynomial filtering: the recurrence runs
-///                  on s·T_d(ℓ(L)), an affine-mapped degree-d Chebyshev
-///                  polynomial that damps [cut, upper] into [-1, 1] and
-///                  amplifies the bottom cluster exponentially, so
-///                  clustered low spectra separate in tens instead of
-///                  thousands of iterations.  Needs op_upper_bound
-///                  (Gershgorin over SubCsr rows for Laplacians).
-///   kShiftInvert — the recurrence runs on -(L - σI)^{-1}, applied by a
-///                  deterministic chunk-ordered CG inner solve; for the
-///                  near-singular cases filtering can't crack.
-///   kAuto        — plain below kFilteredAutoDim; filtered at or above
-///                  it when op_upper_bound is available (else plain).
+///   kPlain    — Krylov recurrence directly on the operator; the
+///               reference the filtered path is checked against.
+///   kFiltered — Chebyshev polynomial filtering: the recurrence runs on
+///               s·T_d(ℓ(L)), an affine-mapped degree-d Chebyshev
+///               polynomial that damps [cut, upper] into [-1, 1] and
+///               amplifies the bottom cluster exponentially, so clustered
+///               low spectra separate in tens instead of thousands of
+///               iterations.  The degree follows from the probe-estimated
+///               cut ratio.  Needs op_upper_bound (Gershgorin over SubCsr
+///               rows for Laplacians).
+///   kAuto     — plain below kFilteredAutoDim; filtered at or above it
+///               when op_upper_bound is available (else plain).  Every
+///               library consumer solves in this mode; kPlain/kFiltered
+///               exist so tests and benches can pit the two paths.
 ///
-/// In every accelerated mode eigenvalues are recovered by Rayleigh
-/// quotient against the ORIGINAL operator and convergence is decided by
-/// the true residual ‖Lx − ρx‖ ≤ tolerance, so tolerances stay
-/// comparable across modes.  The determinism contract is unchanged: a
-/// solve is a pure function of its inputs for ANY OMP thread count.
-enum class SpectralMode { kPlain, kFiltered, kShiftInvert, kAuto };
-
-/// Parse "plain" | "filtered" | "shift_invert" | "auto" (REQUIREs a
-/// valid name, listing the alternatives — registry-style hygiene).
-[[nodiscard]] SpectralMode spectral_mode_from_string(const std::string& name);
-[[nodiscard]] const char* spectral_mode_name(SpectralMode mode);
+/// In filtered mode eigenvalues are recovered by Rayleigh quotient
+/// against the ORIGINAL operator and convergence is decided by the true
+/// residual ‖Lx − ρx‖ ≤ tolerance, so tolerances stay comparable across
+/// modes.  The determinism contract is unchanged: a solve is a pure
+/// function of its inputs for ANY OMP thread count.
+enum class SpectralMode { kPlain, kFiltered, kAuto };
 
 /// Dimension at or above which kAuto switches from plain to filtered.
 /// Below it the plain solver converges within the engine's staged caps
@@ -60,29 +54,19 @@ enum class SpectralMode { kPlain, kFiltered, kShiftInvert, kAuto };
 /// == reference parity runs through this resolution on both sides).
 inline constexpr std::size_t kFilteredAutoDim = 8192;
 
-/// Acceleration knobs shared by the rank-1 and blocked solvers.
+/// Acceleration settings shared by the rank-1 and blocked solvers.
 struct SpectralAccel {
   SpectralMode mode = SpectralMode::kPlain;
-  /// Chebyshev degree d; <= 0 picks a degree from the probe-estimated
-  /// cut ratio (clamped to [6, 24]).
-  int filter_degree = 0;
   /// Upper bound on the operator spectrum (REQUIREd finite in filtered
   /// mode; kAuto resolves to plain without it).  For a SubCsr Laplacian
   /// use gershgorin_upper_bound(); for -L the bound is 0.
   double op_upper_bound = std::numeric_limits<double>::quiet_NaN();
-  /// Shift σ for kShiftInvert.  0 targets the bottom of a PSD operator
-  /// whose kernel is deflated (the Fiedler case).
-  double shift = 0.0;
-  /// Inner-CG relative residual; tight so the Krylov recurrence sees a
-  /// consistent operator.
-  double cg_tolerance = 1e-10;
-  int cg_max_iterations = 4000;
 };
 
 /// The kAuto decision, shared by every consumer so the engine and the
 /// stateless reference can never disagree: filtered iff n >=
 /// kFilteredAutoDim and the accel carries a finite upper bound.
-[[nodiscard]] SpectralMode resolve_spectral_mode(const SpectralAccel& accel, std::size_t n);
+[[nodiscard]] SpectralMode resolve_accel_mode(const SpectralAccel& accel, std::size_t n);
 
 struct LanczosResult {
   std::vector<double> values;               ///< converged Ritz values, ascending

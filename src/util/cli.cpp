@@ -54,6 +54,13 @@ std::vector<double> Cli::get_double_list(const std::string& key,
   return parse_double_list(get(key, fallback_spec));
 }
 
+void Cli::require_known(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : values_) {
+    FNE_REQUIRE(std::find(known.begin(), known.end(), key) != known.end(),
+                "unknown flag --" + key);
+  }
+}
+
 std::vector<double> parse_double_list(const std::string& spec) {
   std::vector<double> out;
   std::size_t start = 0;

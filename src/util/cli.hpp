@@ -1,15 +1,18 @@
 // Minimal command-line flag parsing for examples and bench binaries.
 //
 // Supports --key=value and --flag forms.  Unknown keys are kept so that
-// google-benchmark's own flags can pass through untouched.  The shared
+// google-benchmark's own flags can pass through untouched; a binary that
+// owns all its flags calls require_known() to reject the rest.  The shared
 // conventions every driver used to hand-roll live here once: --seed,
 // --threads (0/absent = hardware), comma-separated value lists, and the
 // --json[=path] resolution (bare flag -> caller's default filename).
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fne {
@@ -33,6 +36,9 @@ class Cli {
   /// `fallback_spec` instead.  REQUIREs every token to parse.
   [[nodiscard]] std::vector<double> get_double_list(const std::string& key,
                                                     const std::string& fallback_spec) const;
+  /// REQUIREs every given flag to be one of `known`; the error names the
+  /// first (alphabetically) that is not.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
  private:
   std::map<std::string, std::string> values_;

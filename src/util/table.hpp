@@ -1,7 +1,7 @@
 // ASCII table and CSV output for experiment tables.
 //
-// Every bench binary prints its result as a Table so EXPERIMENTS.md rows can
-// be pasted verbatim; the same data can be dumped as CSV for plotting.
+// Every bench binary prints its result as a Table whose markdown rows can be
+// pasted into docs verbatim; the same data can be dumped as CSV for plotting.
 #pragma once
 
 #include <iosfwd>

@@ -1,13 +1,13 @@
-// Spectral acceleration modes (DESIGN.md §10): Chebyshev-filtered and
-// shift-invert solves must agree with the plain solver at matched
-// tolerance (eigenvalues come from Rayleigh quotients against the
-// original operator in every mode), kAuto must resolve purely from
-// (dimension, bound availability), the Gershgorin bound must dominate
-// the spectrum, and every mode must stay bit-identical for any OMP
-// thread count on both sides of kSpectralParallelDim.  The Slow suite
-// adds the clustered-spectrum regression the filter exists for: the
-// side-96 mesh, where the plain blocked solver cannot converge within
-// a 250-vector basis and the filtered solver must.
+// Spectral acceleration modes (DESIGN.md §10): Chebyshev-filtered
+// solves must agree with the plain solver at matched tolerance
+// (eigenvalues come from Rayleigh quotients against the original
+// operator), kAuto must resolve purely from (dimension, bound
+// availability), the Gershgorin bound must dominate the spectrum, and
+// every mode must stay bit-identical for any OMP thread count on both
+// sides of kSpectralParallelDim.  The Slow suite adds the
+// clustered-spectrum regression the filter exists for: the side-96
+// mesh, where the plain blocked solver cannot converge within a
+// 250-vector basis and the filtered solver must.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,7 +20,6 @@
 #include "spectral/operator.hpp"
 #include "topology/mesh.hpp"
 #include "topology/random_graphs.hpp"
-#include "util/require.hpp"
 #include "util/rng.hpp"
 
 #ifdef _OPENMP
@@ -65,29 +64,20 @@ namespace {
   return 2.0 - 2.0 * std::cos(M_PI * static_cast<double>(k) / static_cast<double>(side));
 }
 
-TEST(SpectralModes, ModeStringsRoundTripAndReject) {
-  for (const SpectralMode mode : {SpectralMode::kPlain, SpectralMode::kFiltered,
-                                  SpectralMode::kShiftInvert, SpectralMode::kAuto}) {
-    EXPECT_EQ(spectral_mode_from_string(spectral_mode_name(mode)), mode);
-  }
-  EXPECT_THROW((void)spectral_mode_from_string("chebyshev"), PreconditionError);
-  EXPECT_THROW((void)spectral_mode_from_string(""), PreconditionError);
-}
-
 TEST(SpectralModes, AutoResolvesBySizeAndBound) {
   SpectralAccel accel;
   accel.mode = SpectralMode::kAuto;
   accel.op_upper_bound = 8.0;
-  EXPECT_EQ(resolve_spectral_mode(accel, kFilteredAutoDim - 1), SpectralMode::kPlain);
-  EXPECT_EQ(resolve_spectral_mode(accel, kFilteredAutoDim), SpectralMode::kFiltered);
+  EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim - 1), SpectralMode::kPlain);
+  EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim), SpectralMode::kFiltered);
   accel.op_upper_bound = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(resolve_spectral_mode(accel, kFilteredAutoDim), SpectralMode::kPlain)
+  EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim), SpectralMode::kPlain)
       << "auto must not pick filtered without a usable upper bound";
   // Explicit modes resolve to themselves regardless of size.
-  accel.mode = SpectralMode::kShiftInvert;
-  EXPECT_EQ(resolve_spectral_mode(accel, 10), SpectralMode::kShiftInvert);
+  accel.mode = SpectralMode::kPlain;
+  EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim), SpectralMode::kPlain);
   accel.mode = SpectralMode::kFiltered;
-  EXPECT_EQ(resolve_spectral_mode(accel, 10), SpectralMode::kFiltered);
+  EXPECT_EQ(resolve_accel_mode(accel, 10), SpectralMode::kFiltered);
 }
 
 TEST(SpectralModes, GershgorinBoundDominatesTheSpectrum) {
@@ -142,44 +132,6 @@ TEST(SpectralModes, FilteredMatchesPlainOnMesh) {
   ASSERT_EQ(bplain.values.size(), bfilt.values.size());
   for (std::size_t e = 0; e < bplain.values.size(); ++e) {
     EXPECT_NEAR(bfilt.values[e], bplain.values[e], 1e-6) << "pair " << e;
-  }
-}
-
-TEST(SpectralModes, ShiftInvertMatchesPlainOnMesh) {
-  const Mesh mesh = Mesh::cube(20, 2);
-  SubCsr sub;
-  sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
-  const SubCsrLaplacian lap(sub);
-
-  LanczosOptions opts;
-  opts.num_eigenpairs = 1;
-  opts.tolerance = 1e-8;
-  opts.max_iterations = 400;
-  const LanczosResult plain =
-      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
-  opts.accel.mode = SpectralMode::kShiftInvert;  // σ = 0: kernel is deflated
-  const LanczosResult si =
-      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
-  ASSERT_TRUE(plain.converged);
-  ASSERT_TRUE(si.converged);
-  EXPECT_NEAR(si.values[0], plain.values[0], 1e-6);
-  EXPECT_LT(si.iterations, plain.iterations)
-      << "shift-invert exists to converge in far fewer (outer) iterations";
-
-  BlockLanczosOptions bopts;
-  bopts.num_eigenpairs = 4;
-  bopts.tolerance = 1e-8;
-  bopts.max_basis = 500;
-  const LanczosResult bplain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
-  bopts.accel.mode = SpectralMode::kShiftInvert;
-  const LanczosResult bsi =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
-  ASSERT_TRUE(bplain.converged);
-  ASSERT_TRUE(bsi.converged);
-  ASSERT_EQ(bplain.values.size(), bsi.values.size());
-  for (std::size_t e = 0; e < bplain.values.size(); ++e) {
-    EXPECT_NEAR(bsi.values[e], bplain.values[e], 1e-6) << "pair " << e;
   }
 }
 
@@ -253,9 +205,9 @@ TEST(SpectralModes, FilteredParityOnCullSequence) {
 }
 
 TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
-  // The PR-6 acceptance bar: every mode — including the CG inner solve
-  // and the Chebyshev recurrence — is a pure function of its inputs for
-  // ANY OMP thread count, on both sides of kSpectralParallelDim.
+  // The acceleration acceptance bar: every mode — including the Chebyshev
+  // recurrence — is a pure function of its inputs for ANY OMP thread
+  // count, on both sides of kSpectralParallelDim.
   // Convergence is NOT required for determinism, so iteration caps keep
   // the large plain solves cheap.
   for (const int side : {64, 96}) {
@@ -263,8 +215,7 @@ TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
     SubCsr sub;
     sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
     const SubCsrLaplacian lap(sub);
-    for (const SpectralMode mode :
-         {SpectralMode::kPlain, SpectralMode::kFiltered, SpectralMode::kShiftInvert}) {
+    for (const SpectralMode mode : {SpectralMode::kPlain, SpectralMode::kFiltered}) {
       LanczosOptions opts;
       opts.num_eigenpairs = 2;
       opts.tolerance = 1e-8;
@@ -275,7 +226,7 @@ TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
         return lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
       };
       const LanczosResult first = solve();
-      SCOPED_TRACE(spectral_mode_name(mode));
+      SCOPED_TRACE(mode == SpectralMode::kPlain ? "plain" : "filtered");
       SCOPED_TRACE(side);
 #ifdef _OPENMP
       const int saved = omp_get_max_threads();

@@ -90,6 +90,20 @@ TEST(Cli, SeedHelper) {
   EXPECT_EQ(empty.get_seed(42), 42U);
 }
 
+TEST(Cli, RequireKnownRejectsUnreadFlags) {
+  const char* argv[] = {"prog", "--thread=4", "--seed=3", "positional"};
+  Cli cli(4, const_cast<char**>(argv));
+  try {
+    cli.require_known({"threads", "seed"});
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("--thread"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW(cli.require_known({"thread", "seed"}));
+  Cli bare(1, const_cast<char**>(argv));
+  EXPECT_NO_THROW(bare.require_known({}));
+}
+
 TEST(Timer, MeasuresNonNegativeTime) {
   Timer t;
   EXPECT_GE(t.seconds(), 0.0);
