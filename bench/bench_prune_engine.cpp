@@ -21,11 +21,9 @@
 //
 // Flags: --side=N (default 64), --faults=P (default 0.3), --trials=N
 // (default 1), --alpha=A (default 0.5), --eps=E (default 0.5), --seed=S,
-// --json=out.json (machine-readable results), --blocked-side=N (default
-// 64), --filtered-side=N (default 96), and the gate thresholds
-// --min-spectral-speedup (1.5) / --min-filtered-speedup (3.0, the
-// Chebyshev-filter acceptance).  The blocked k=4 section is a parity
-// check; its time ratio against four rank-1 solves is reported, not gated.
+// --json=out.json (machine-readable results), --filtered-side=N (default
+// 96), and the gate thresholds --min-spectral-speedup (1.5) /
+// --min-filtered-speedup (3.0, the Chebyshev-filter acceptance).
 #include "bench_common.hpp"
 
 #include <cmath>
@@ -151,105 +149,12 @@ LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
 
 }  // namespace seed_path
 
-/// Blocked rank-k solve vs k sequential deflated rank-1 solves — the two
-/// ways a consumer gets k eigenpairs out of this library (DESIGN.md §9).
-/// Both sides run kAuto with the Gershgorin bound, the resolution every
-/// consumer gets (plain below kFilteredAutoDim).  A parity check: returns
-/// whether both sides converged and agree on the eigenvalues to 1e-4; the
-/// time ratio is printed and recorded, not gated.
-bool blocked_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std::uint64_t seed,
-                             bench::JsonReport* json) {
-  const std::size_t dim = lap.dim();
-  const std::vector<std::vector<double>> ones{std::vector<double>(dim, 1.0)};
-  const auto apply = [&lap](const std::vector<double>& x, std::vector<double>& y) {
-    lap.apply(x, y);
-  };
-  constexpr int kPairs = 4;
-  // Tolerance/caps at which BOTH sides converge on the probe component —
-  // the comparison is matched-accuracy, not matched-budget (a capped
-  // unconverged race rewards whoever gives the worse answer).
-  constexpr double kTol = 1e-5;
-  const SpectralAccel accel{SpectralMode::kAuto, gershgorin_upper_bound(sub)};
-  Timer timer;
-
-  // Sequential baseline: k rank-1 solves, each deflating every eigenvector
-  // found so far — the only way the k = 1 kernel reliably resolves the
-  // multiplicity-heavy bottom of a mesh Laplacian.
-  std::vector<double> seq_values;
-  bool seq_converged = true;
-  double seq_ms = 0.0;
-  {
-    timer.reset();
-    std::vector<std::vector<double>> defl = ones;
-    for (int e = 0; e < kPairs; ++e) {
-      LanczosOptions opts;
-      opts.tolerance = kTol;
-      opts.max_iterations = 600;
-      opts.seed = seed + static_cast<std::uint64_t>(e);
-      opts.accel = accel;
-      const LanczosResult res = lanczos_smallest(apply, dim, defl, opts);
-      seq_converged = seq_converged && res.converged;
-      seq_values.push_back(res.values.at(0));
-      defl.push_back(res.vectors.at(0));
-    }
-    seq_ms = timer.millis();
-  }
-
-  // Blocked: one rank-k solve over one shared block-Krylov basis.
-  LanczosResult blocked;
-  double blocked_ms = 0.0;
-  {
-    BlockLanczosOptions opts;
-    opts.num_eigenpairs = kPairs;
-    opts.tolerance = kTol;
-    opts.max_basis = 900;
-    opts.seed = seed;
-    opts.accel = accel;
-    timer.reset();
-    blocked = lanczos_smallest_block(apply, dim, ones, opts);
-    blocked_ms = timer.millis();
-  }
-
-  double max_dev = 0.0;
-  for (int e = 0; e < kPairs; ++e) {
-    max_dev = std::max(max_dev,
-                       std::fabs(seq_values[static_cast<std::size_t>(e)] -
-                                 blocked.values.at(static_cast<std::size_t>(e))));
-  }
-  const bool parity = max_dev <= 1e-4 && seq_converged && blocked.converged;
-  const double ratio = blocked_ms > 0.0 ? seq_ms / blocked_ms : 0.0;
-
-  Table table({"workload", "4x rank-1 ms", "blocked k=4 ms", "ratio", "max |dλ|", "parity"});
-  table.row()
-      .cell("smallest 4 eigenpairs, dim " + std::to_string(dim))
-      .cell(seq_ms, 2)
-      .cell(blocked_ms, 2)
-      .cell(ratio, 2)
-      .cell(max_dev, 8)
-      .cell(bench::yesno(parity));
-  bench::print_table(table,
-                     "4x rank-1 = lanczos_smallest with progressive deflation (the pre-blocked\n"
-                     "consumer shape); blocked = one lanczos_smallest_block basis; both sides\n"
-                     "kAuto at matched tolerance; ratio = rank-1 ms / blocked ms (info).\n"
-                     "Acceptance: both sides converged AND eigenvalue parity to 1e-4.");
-  if (json != nullptr) {
-    json->record("kernel")
-        .put("workload", "blocked_k4")
-        .put("seed_ms", seq_ms)
-        .put("sub_csr_ms", blocked_ms)
-        .put("speedup", ratio)
-        .put("max_eigenvalue_dev", max_dev)
-        .put("parity", parity);
-  }
-  return parity;
-}
-
-/// The PR-6 tentpole gate: Chebyshev-filtered blocked solve vs the plain
-/// blocked solve at matched tolerance on the largest surviving component
-/// of a large faulty mesh, whose clustered bottom spectrum is exactly the
-/// regime the filter exists for.  The plain side gets a basis cap large
-/// enough to actually converge — the ratio measures work-to-answer at the
-/// SAME accuracy, not who hit a cap first.
+/// The Chebyshev-filter gate: 4 deflated pairs (one filtered rank-1 solve
+/// each) vs the same pairs solved plain, at matched tolerance on the
+/// largest surviving component of a large faulty mesh, whose clustered
+/// bottom spectrum is exactly the regime the filter exists for.  The plain
+/// side gets a per-pair cap large enough to actually converge — the ratio
+/// measures work-to-answer at the SAME accuracy, not who hit a cap first.
 bool filtered_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std::uint64_t seed,
                               double min_speedup, bench::JsonReport* json) {
   const std::size_t dim = lap.dim();
@@ -261,20 +166,21 @@ bool filtered_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std
   constexpr double kTol = 1e-5;
   Timer timer;
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = kPairs;
   opts.tolerance = kTol;
-  opts.max_basis = 2600;  // generous: the plain side must reach convergence
+  opts.max_iterations = 2600;  // generous: the plain side must reach convergence
   opts.seed = seed;
+  opts.accel.mode = SpectralMode::kPlain;
   timer.reset();
-  const LanczosResult plain = lanczos_smallest_block(apply, dim, ones, opts);
+  const LanczosResult plain = lanczos_smallest(apply, dim, ones, opts);
   const double plain_ms = timer.millis();
 
-  BlockLanczosOptions fopts = opts;
+  LanczosOptions fopts = opts;
   fopts.accel.mode = SpectralMode::kFiltered;
   fopts.accel.op_upper_bound = gershgorin_upper_bound(sub);
   timer.reset();
-  const LanczosResult filtered = lanczos_smallest_block(apply, dim, ones, fopts);
+  const LanczosResult filtered = lanczos_smallest(apply, dim, ones, fopts);
   const double filtered_ms = timer.millis();
 
   double max_dev = 0.0;
@@ -286,7 +192,7 @@ bool filtered_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std
   const double speedup = filtered_ms > 0.0 ? plain_ms / filtered_ms : 0.0;
   const bool pass = parity && speedup >= min_speedup;
 
-  Table table({"mode", "ms", "basis", "speedup", "max |dλ|", "pass"});
+  Table table({"mode", "ms", "iterations", "speedup", "max |dλ|", "pass"});
   table.row()
       .cell("plain (dim " + std::to_string(dim) + ")")
       .cell(plain_ms, 2)
@@ -303,10 +209,11 @@ bool filtered_lanczos_section(const SubCsrLaplacian& lap, const SubCsr& sub, std
       .cell(bench::yesno(pass));
   bench::print_table(
       table,
-      "blocked k=4 on the largest component at matched tolerance 1e-5; basis =\n"
-      "Krylov vectors consumed (the filtered count includes the 16-iteration plain\n"
-      "probe that places the cut).  Acceptance: filtered speedup >= threshold AND\n"
-      "both sides converged AND eigenvalue parity to 1e-4.");
+      "4 deflated rank-1 pairs on the largest component at matched tolerance 1e-5;\n"
+      "iterations = Krylov vectors consumed over the 4 solves (the filtered count\n"
+      "includes each solve's 16-iteration plain probe that places the cut).\n"
+      "Acceptance: filtered speedup >= threshold AND both sides converged AND\n"
+      "eigenvalue parity to 1e-4.");
   if (json != nullptr) {
     json->record("kernel")
         .put("workload", "filtered_k4")
@@ -566,22 +473,7 @@ int main(int argc, char** argv) {
   const double min_spectral = cli.get_double("min-spectral-speedup", 1.5);
   const bool kernel_pass = spectral_kernel_section(g, first_alive, seed, min_spectral, &json);
 
-  // Blocked rank-k parity.  The operator is the LARGEST surviving
-  // component of a faulty mesh (the subgraph every engine eigensolve
-  // actually runs on — the full mask has a high-multiplicity zero
-  // eigenvalue that no bottom-spectrum solve should be pointed at),
-  // probed at its own side: --blocked-side (default 64).
-  const auto blocked_side = static_cast<vid>(cli.get_int("blocked-side", 64));
-  const Mesh blocked_mesh = Mesh::cube(blocked_side, 2);
-  const VertexSet blocked_alive =
-      largest_component(blocked_mesh.graph(),
-                        random_node_faults(blocked_mesh.graph(), fault_p, seed));
-  SubCsr blocked_sub;
-  blocked_sub.build(blocked_mesh.graph(), blocked_alive);
-  const SubCsrLaplacian blocked_lap(blocked_sub);
-  const bool blocked_pass = blocked_lanczos_section(blocked_lap, blocked_sub, seed, &json);
-
-  // PR-6 tentpole acceptance: filtered vs plain blocked solve on the
+  // Chebyshev-filter acceptance: filtered vs plain deflated pairs on the
   // largest component of a --filtered-side mesh (default 96 — above
   // kFilteredAutoDim, where kAuto itself would pick the filter).
   // --min-filtered-speedup relaxes the 3x default on reduced-size CI runs.
@@ -605,7 +497,6 @@ int main(int argc, char** argv) {
       .put("det_identical", all_identical)
       .put("traces_valid", all_valid)
       .put("kernel_pass", kernel_pass)
-      .put("blocked_pass", blocked_pass)
       .put("filtered_pass", filtered_pass);
   if (cli.has("json")) json.write(bench::json_path(cli, "bench_prune_engine.json"));
 
@@ -614,11 +505,7 @@ int main(int argc, char** argv) {
             << (all_identical ? "PASS" : "FAIL")
             << ", fast traces certified: " << (all_valid ? "PASS" : "FAIL")
             << ", spectral kernel >= 1.5x: " << (kernel_pass ? "PASS" : "FAIL")
-            << ", blocked k=4 parity: " << (blocked_pass ? "PASS" : "FAIL")
             << ", filtered k=4 >= " << min_filtered << "x: " << (filtered_pass ? "PASS" : "FAIL")
             << "\n";
-  return (speedup >= 3.0 && all_identical && all_valid && kernel_pass && blocked_pass &&
-          filtered_pass)
-             ? 0
-             : 1;
+  return (speedup >= 3.0 && all_identical && all_valid && kernel_pass && filtered_pass) ? 0 : 1;
 }

@@ -64,19 +64,18 @@ void check_declared(const MetricEntry& entry, const Params& params) {
 }
 
 /// Smallest k nontrivial Laplacian eigenvalues over a prebuilt compact
-/// operator (host assumed connected), via ONE blocked solve — the k >= 2
-/// consumer the blocked kernel exists for.  kAuto with the sub-CSR's
-/// Gershgorin bound: plain below kFilteredAutoDim, filtered above
-/// (DESIGN.md §10).
+/// operator (host assumed connected), via k deflated rank-1 solves.  kAuto
+/// with the sub-CSR's Gershgorin bound: plain below kFilteredAutoDim,
+/// filtered above (DESIGN.md §10).
 [[nodiscard]] LanczosResult host_spectrum(const SubCsr& sub, const SubCsrLaplacian& lap, int k,
                                           std::uint64_t seed) {
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = k;
   opts.tolerance = 1e-8;
   opts.seed = seed;
   opts.accel = SpectralAccel{SpectralMode::kAuto, gershgorin_upper_bound(sub)};
   const std::vector<std::vector<double>> defl{std::vector<double>(lap.dim(), 1.0)};
-  return lanczos_smallest_block(
+  return lanczos_smallest(
       [&lap](const std::vector<double>& x, std::vector<double>& y) { lap.apply(x, y); },
       lap.dim(), defl, opts);
 }
@@ -216,7 +215,7 @@ void check_declared(const MetricEntry& entry, const Params& params) {
       .put("average_dilation", e.quality.average_dilation)
       .put("slowdown", static_cast<std::uint64_t>(e.quality.slowdown()));
   // Spectral coordinates of the host: the k smallest nontrivial
-  // Laplacian eigenvalues in ONE blocked solve — the geometry the host
+  // Laplacian eigenvalues (k deflated rank-1 solves) — the geometry the host
   // offers a k-dimensional guest, and λ₂'s decay under growing faults is
   // the emulation-slowdown early warning.
   if (spectral_dims >= 1 && host.count() >= static_cast<vid>(spectral_dims) + 2) {
@@ -242,8 +241,8 @@ void check_declared(const MetricEntry& entry, const Params& params) {
     return undefined_record("expander_certificate", "largest component < 3");
   }
 
-  // Bottom of the spectrum (λ₂..λ_{k+1}) in one blocked solve; top (λ_max)
-  // via the k = 1 kernel on -L over the SAME compact operator.  λ₂/2 is
+  // Bottom of the spectrum (λ₂..λ_{k+1}) by k deflated solves; top
+  // (λ_max) by one solve on -L over the SAME compact operator.  λ₂/2 is
   // the certified Cheeger-type edge expansion lower bound for ANY graph;
   // the mixing-lemma fields only exist when the component is regular.
   SubCsr sub;
@@ -385,13 +384,13 @@ MetricsRegistry::MetricsRegistry() {
        /*split_job=*/true});
   add({"embedding_quality",
        "load/congestion/dilation of embedding the fault-free guest into the largest "
-       "surviving component, plus its blocked-Lanczos spectral profile",
+       "surviving component, plus its Lanczos spectral profile",
        {{"spectral_dims", "2", "smallest nontrivial Laplacian eigenvalues to report (0: skip)"}},
        metric_embedding_quality});
   add({"expander_certificate",
        "spectral expansion certificate of the largest surviving component (Cheeger lower "
        "bound; mixing-lemma fields when regular)",
-       {{"eigenpairs", "2", "bottom eigenpairs from one blocked solve"}},
+       {{"eigenpairs", "2", "bottom eigenpairs, one deflated Lanczos solve each"}},
        metric_expander_certificate});
 }
 

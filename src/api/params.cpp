@@ -21,7 +21,11 @@ Params Params::parse(const std::string& spec) {
     if (token.empty()) continue;
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos) {
-      p.values_[token] = "1";
+      // Assigned by append: `= "1"` trips GCC 12's bogus -Wrestrict
+      // diagnostic (PR 105329).
+      std::string& value = p.values_[token];
+      value.clear();
+      value += '1';
     } else {
       p.values_[token.substr(0, eq)] = token.substr(eq + 1);
     }

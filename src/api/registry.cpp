@@ -290,7 +290,7 @@ TopologyRegistry::TopologyRegistry() {
                            require_vid("topology 'mesh'", p, "dims", 2, 1, 10))
              .graph();
        },
-       /*seeded=*/false, mesh_structure("topology 'mesh'", false)});
+       /*seeded=*/false, mesh_structure("topology 'mesh'", false), /*cache_salt=*/{}});
   add({"torus",
        "d-dimensional torus (periodic mesh), side^dims vertices",
        {{"side", "24", "vertices per dimension"}, {"dims", "2", "dimensions"}},
@@ -305,7 +305,7 @@ TopologyRegistry::TopologyRegistry() {
                            /*wrap=*/true)
              .graph();
        },
-       /*seeded=*/false, mesh_structure("topology 'torus'", true)});
+       /*seeded=*/false, mesh_structure("topology 'torus'", true), /*cache_salt=*/{}});
   add({"hypercube",
        "d-dimensional hypercube Q_d, 2^dims vertices",
        {{"dims", "8", "dimension d"}},
@@ -319,7 +319,8 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p) {
          const vid d = require_vid("topology 'hypercube'", p, "dims", 8, 1, 26);
          return Params{}.set("dims", static_cast<std::int64_t>(d));
-       }});
+       },
+       /*cache_salt=*/{}});
   add({"debruijn",
        "binary de Bruijn network DB(d), 2^dims vertices",
        {{"dims", "10", "dimension d"}},
@@ -333,7 +334,8 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p) {
          const vid d = require_vid("topology 'debruijn'", p, "dims", 10, 2, 26);
          return Params{}.set("dims", static_cast<std::int64_t>(d));
-       }});
+       },
+       /*cache_salt=*/{}});
   add({"shuffle_exchange",
        "shuffle-exchange network SE(d), 2^dims vertices",
        {{"dims", "10", "dimension d"}},
@@ -347,7 +349,8 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p) {
          const vid d = require_vid("topology 'shuffle_exchange'", p, "dims", 10, 2, 26);
          return Params{}.set("dims", static_cast<std::int64_t>(d));
-       }});
+       },
+       /*cache_salt=*/{}});
   add({"butterfly",
        "butterfly BF(d): (dims+1)*2^dims vertices unwrapped, dims*2^dims wrapped",
        {{"dims", "6", "dimension d"}, {"wrapped", "0", "identify level d with level 0"}},
@@ -370,7 +373,8 @@ TopologyRegistry::TopologyRegistry() {
              .set("levels", static_cast<std::int64_t>(wrapped ? d : d + 1))
              .set("rows", static_cast<std::int64_t>(vid{1} << d))
              .set("wrapped", std::string(wrapped ? "1" : "0"));
-       }});
+       },
+       /*cache_salt=*/{}});
   add({"multibutterfly",
        "multibutterfly with random splitters, (dims+1)*2^dims vertices (seeded)",
        {{"dims", "6", "log2(rows)"}, {"splitter_degree", "2", "random edges per half-block"}},
@@ -392,7 +396,8 @@ TopologyRegistry::TopologyRegistry() {
              .set("dims", static_cast<std::int64_t>(d))
              .set("levels", static_cast<std::int64_t>(d + 1))
              .set("rows", static_cast<std::int64_t>(vid{1} << d));
-       }});
+       },
+       /*cache_salt=*/{}});
   add({"random_regular",
        "random d-regular simple graph (permutation model, seeded)",
        {{"n", "256", "vertices (n*degree must be even)"}, {"degree", "4", "degree"}},
@@ -406,7 +411,7 @@ TopologyRegistry::TopologyRegistry() {
                      "topology 'random_regular': need n*degree even and degree < n");
          return random_regular(n, d, seed);
        },
-       /*seeded=*/true, /*structure=*/{}});
+       /*seeded=*/true, /*structure=*/{}, /*cache_salt=*/{}});
   add({"erdos_renyi",
        "Erdős–Rényi G(n, p) (seeded)",
        {{"n", "256", "vertices"}, {"p", "0.02", "edge probability"}},
@@ -417,7 +422,7 @@ TopologyRegistry::TopologyRegistry() {
          return erdos_renyi(require_vid("topology 'erdos_renyi'", p, "n", 256, 1, 1 << 26),
                             require_prob("topology 'erdos_renyi'", p, "p", 0.02), seed);
        },
-       /*seeded=*/true, /*structure=*/{}});
+       /*seeded=*/true, /*structure=*/{}, /*cache_salt=*/{}});
   add({"can",
        "CAN overlay zone-adjacency graph, `peers` vertices (seeded)",
        {{"peers", "256", "number of peers/zones"},
@@ -432,7 +437,7 @@ TopologyRegistry::TopologyRegistry() {
                             require_vid("topology 'can'", p, "max_depth", 20, 1, 30))
              .graph;
        },
-       /*seeded=*/true, /*structure=*/{}});
+       /*seeded=*/true, /*structure=*/{}, /*cache_salt=*/{}});
   add({"chain_expander",
        "H(G, k): every edge of a random base expander replaced by a k-chain "
        "(seeded); base_n + k * (base_n*base_degree/2) vertices",
@@ -455,7 +460,7 @@ TopologyRegistry::TopologyRegistry() {
          const vid k = require_vid("topology 'chain_expander'", p, "k", 4, 2, 1 << 12);
          return chain_replace(random_regular(bn, bd, seed), k).graph;
        },
-       /*seeded=*/true, /*structure=*/{}});
+       /*seeded=*/true, /*structure=*/{}, /*cache_salt=*/{}});
   add({"complete",
        "complete graph K_n",
        {{"n", "64", "vertices"}},
@@ -463,7 +468,7 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p, std::uint64_t) {
          return complete_graph(require_vid("topology 'complete'", p, "n", 64, 1, 4096));
        },
-       /*seeded=*/false, /*structure=*/{}});
+       /*seeded=*/false, /*structure=*/{}, /*cache_salt=*/{}});
   add({"cycle",
        "cycle C_n",
        {{"n", "64", "vertices"}},
@@ -471,7 +476,7 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p, std::uint64_t) {
          return cycle_graph(require_vid("topology 'cycle'", p, "n", 64, 3, 1 << 26));
        },
-       /*seeded=*/false, /*structure=*/{}});
+       /*seeded=*/false, /*structure=*/{}, /*cache_salt=*/{}});
   add({"path",
        "path P_n",
        {{"n", "64", "vertices"}},
@@ -479,7 +484,7 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p, std::uint64_t) {
          return path_graph(require_vid("topology 'path'", p, "n", 64, 1, 1 << 26));
        },
-       /*seeded=*/false, /*structure=*/{}});
+       /*seeded=*/false, /*structure=*/{}, /*cache_salt=*/{}});
   add({"star",
        "star S_n (vertex 0 is the hub)",
        {{"n", "64", "vertices"}},
@@ -487,7 +492,7 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p, std::uint64_t) {
          return star_graph(require_vid("topology 'star'", p, "n", 64, 2, 1 << 26));
        },
-       /*seeded=*/false, /*structure=*/{}});
+       /*seeded=*/false, /*structure=*/{}, /*cache_salt=*/{}});
   add({"barbell",
        "two K_half cliques joined by one edge, 2*half vertices (paper §1.3)",
        {{"half", "16", "clique size"}},
@@ -497,7 +502,7 @@ TopologyRegistry::TopologyRegistry() {
        [](const Params& p, std::uint64_t) {
          return barbell_graph(require_vid("topology 'barbell'", p, "half", 16, 2, 2048));
        },
-       /*seeded=*/false, /*structure=*/{}});
+       /*seeded=*/false, /*structure=*/{}, /*cache_salt=*/{}});
   // Real graphs: a binary CSR file produced by tools/edgelist2csr
   // (DESIGN.md §14).  Deterministic by definition (seeded=false), and the
   // cache salt folds the file's content checksum into every EngineCache

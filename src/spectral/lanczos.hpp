@@ -10,6 +10,11 @@
 // Deflation vectors (e.g. the all-ones kernel of a connected Laplacian)
 // are projected out of every Krylov vector.
 //
+// Every solve extracts ONE eigenpair.  k pairs are k such solves, each
+// deflating the vectors found before it (DESIGN.md §9): a single Krylov
+// chain cannot resolve repeated eigenvalues, and mesh Laplacians are
+// full of them.
+//
 // Determinism contract (DESIGN.md §7): every reduction (dot, norm, the
 // rank-k update) uses a fixed 1024-element chunk order regardless of the
 // thread count or whether the parallel path is taken at all, so a solve
@@ -33,9 +38,9 @@ namespace fne {
 ///               polynomial that damps [cut, upper] into [-1, 1] and
 ///               amplifies the bottom cluster exponentially, so clustered
 ///               low spectra separate in tens instead of thousands of
-///               iterations.  The degree follows from the probe-estimated
-///               cut ratio.  Needs op_upper_bound (Gershgorin over SubCsr
-///               rows for Laplacians).
+///               iterations.  The cut comes from a short plain probe.
+///               Needs op_upper_bound (Gershgorin over SubCsr rows for
+///               Laplacians).
 ///   kAuto     — plain below kFilteredAutoDim; filtered at or above it
 ///               when op_upper_bound is available (else plain).  Every
 ///               library consumer solves in this mode; kPlain/kFiltered
@@ -54,7 +59,7 @@ enum class SpectralMode { kPlain, kFiltered, kAuto };
 /// == reference parity runs through this resolution on both sides).
 inline constexpr std::size_t kFilteredAutoDim = 8192;
 
-/// Acceleration settings shared by the rank-1 and blocked solvers.
+/// Acceleration settings of a solve.
 struct SpectralAccel {
   SpectralMode mode = SpectralMode::kPlain;
   /// Upper bound on the operator spectrum (REQUIREd finite in filtered
@@ -69,10 +74,13 @@ struct SpectralAccel {
 [[nodiscard]] SpectralMode resolve_accel_mode(const SpectralAccel& accel, std::size_t n);
 
 struct LanczosResult {
-  std::vector<double> values;               ///< converged Ritz values, ascending
+  /// Ritz values in pair order.  Pair e is the smallest eigenvalue
+  /// orthogonal to the deflation set and pairs 0..e-1, so the values
+  /// ascend up to the solve tolerance.
+  std::vector<double> values;
   std::vector<std::vector<double>> vectors; ///< matching Ritz vectors (unit norm)
-  int iterations = 0;
-  bool converged = false;
+  int iterations = 0;      ///< summed over the pairs
+  bool converged = false;  ///< every pair converged
 };
 
 /// Reusable buffers for repeated Lanczos solves.  The Krylov basis is the
@@ -96,13 +104,18 @@ struct LanczosScratch {
 };
 
 struct LanczosOptions {
-  int num_eigenpairs = 1;      ///< how many smallest pairs to extract
-  int max_iterations = 300;
+  /// How many smallest pairs to extract.  k pairs run k rank-1 solves:
+  /// pair e uses seed + e and the tolerance, cap, accel and scratch below,
+  /// and its vector joins the deflation set of the pairs after it.  Fewer
+  /// than k pairs come back when the deflated space runs out first.
+  int num_eigenpairs = 1;
+  int max_iterations = 300;    ///< cap per pair
   double tolerance = 1e-9;     ///< residual bound |beta * y_last|
   std::uint64_t seed = 7;
-  /// Optional warm-start vector (length n, pre-deflation).  It is projected
-  /// against `deflation` and normalized internally; a degenerate warm start
-  /// falls back to the seeded random start.  nullptr = random start.
+  /// Optional warm-start vector of pair 0 (length n, pre-deflation).  It is
+  /// projected against `deflation` and normalized internally; a degenerate
+  /// warm start falls back to the seeded random start.  nullptr = random
+  /// start.
   const std::vector<double>* initial = nullptr;
   /// Optional buffer pool; nullptr allocates locally.
   LanczosScratch* scratch = nullptr;
@@ -116,43 +129,5 @@ using LinearOperator = std::function<void(const std::vector<double>&, std::vecto
 [[nodiscard]] LanczosResult lanczos_smallest(const LinearOperator& op, std::size_t n,
                                              const std::vector<std::vector<double>>& deflation,
                                              const LanczosOptions& options = {});
-
-/// Blocked (multi-vector) variant for the k >= 2 eigenpair consumers
-/// (embedding spectral coordinates, expander certificates, DESIGN.md §9).
-///
-/// One block-Krylov basis serves every wanted pair: `block_size` start
-/// vectors are expanded one operator apply at a time, every new vector is
-/// CGS2+DGKS-reorthogonalized against the WHOLE basis (the same fused
-/// rank-m update as the k = 1 path, so the dominant FLOPs stay streamed
-/// and OpenMP-parallel above kSpectralParallelDim), and Rayleigh–Ritz on
-/// the projected matrix extracts the k smallest pairs.  Against k
-/// repeated deflated rank-1 solves this shares the bottom of the spectrum
-/// instead of re-converging through it per pair, and — unlike a single
-/// Krylov chain — resolves eigenvalue multiplicities (mesh Laplacians are
-/// full of them) without deflation tricks.
-///
-/// Determinism contract: identical to lanczos_smallest — every reduction
-/// is chunk-ordered, the dense Rayleigh–Ritz solve is sequential, and the
-/// start block is a pure function of `seed`, so a solve is bit-identical
-/// for ANY OMP thread count.
-struct BlockLanczosOptions {
-  int num_eigenpairs = 2;   ///< k smallest pairs to extract
-  /// Start-block width; <= 0 means min(2, num_eigenpairs).  Width 2 is
-  /// the measured sweet spot: wide enough that the degenerate pairs mesh
-  /// Laplacians produce converge together, narrow enough that the
-  /// per-direction polynomial degree (basis / block) stays high — a
-  /// width-k block quadruples the basis a k = 4 solve needs.
-  int block_size = 0;
-  int max_basis = 300;      ///< total Krylov vectors cap (memory: max_basis x n)
-  double tolerance = 1e-9;  ///< residual bound per wanted pair
-  std::uint64_t seed = 7;
-  LanczosScratch* scratch = nullptr;  ///< optional buffer pool
-  /// Acceleration mode; kPlain keeps the pre-PR-6 solve bit for bit.
-  SpectralAccel accel;
-};
-
-[[nodiscard]] LanczosResult lanczos_smallest_block(
-    const LinearOperator& op, std::size_t n,
-    const std::vector<std::vector<double>>& deflation, const BlockLanczosOptions& options = {});
 
 }  // namespace fne

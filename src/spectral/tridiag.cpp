@@ -88,18 +88,22 @@ std::vector<std::size_t> sort_ascending(const std::vector<double>& d,
   return order;
 }
 
-/// QL, sorted ascending into `values`.  With `vectors`, `z` is the full
-/// accumulator (n×n, column-contiguous, seeded by the caller) and the
-/// min(count, n) lowest eigenvectors are written out.
-void ql_solve(std::vector<double>& d, std::vector<double>& e, std::vector<double> z,
-              std::vector<double>& values, std::vector<double>* vectors, std::size_t count) {
+}  // namespace
+
+void tridiag_eigen(std::vector<double> diag, std::vector<double> off,
+                   std::vector<double>& values, std::vector<double>* vectors,
+                   std::size_t count) {
+  const std::size_t n = diag.size();
+  std::vector<double> e = padded_off_diagonal(n, off);
   if (vectors == nullptr) {
-    ql_implicit(d, e, [](std::size_t, double, double) {});
-    sort_ascending(d, values);
+    ql_implicit(diag, e, [](std::size_t, double, double) {});
+    sort_ascending(diag, values);
     return;
   }
-  const std::size_t n = d.size();
-  ql_implicit(d, e, [&z, n](std::size_t i, double s, double c) {
+  // Column-contiguous eigenvector accumulator, seeded with the identity.
+  std::vector<double> z(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
+  ql_implicit(diag, e, [&z, n](std::size_t i, double s, double c) {
     double* __restrict zi = z.data() + i * n;
     double* __restrict zi1 = zi + n;
     FNE_PRAGMA_SIMD
@@ -109,7 +113,7 @@ void ql_solve(std::vector<double>& d, std::vector<double>& e, std::vector<double
       zi[r] = c * zi[r] - s * f;
     }
   });
-  const std::vector<std::size_t> order = sort_ascending(d, values);
+  const std::vector<std::size_t> order = sort_ascending(diag, values);
   const std::size_t cols = std::min(count, n);
   vectors->resize(cols * n);
   for (std::size_t j = 0; j < cols; ++j) {
@@ -117,26 +121,6 @@ void ql_solve(std::vector<double>& d, std::vector<double>& e, std::vector<double
     std::copy(src, src + static_cast<std::ptrdiff_t>(n),
               vectors->begin() + static_cast<std::ptrdiff_t>(j * n));
   }
-}
-
-}  // namespace
-
-void tridiag_eigen(std::vector<double> diag, std::vector<double> off,
-                   std::vector<double>& values, std::vector<double>* vectors,
-                   std::size_t count, const std::vector<double>* init) {
-  const std::size_t n = diag.size();
-  std::vector<double> e = padded_off_diagonal(n, off);
-  std::vector<double> z;  // column-contiguous eigenvector accumulator
-  if (vectors != nullptr) {
-    if (init != nullptr) {
-      FNE_REQUIRE(init->size() == n * n, "tridiag_eigen: init must be k x k");
-      z = *init;
-    } else {
-      z.assign(n * n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
-    }
-  }
-  ql_solve(diag, e, std::move(z), values, vectors, count);
 }
 
 void tridiag_eigen_last_row(std::vector<double> diag, std::vector<double> off,
@@ -153,104 +137,6 @@ void tridiag_eigen_last_row(std::vector<double> diag, std::vector<double> off,
   const std::vector<std::size_t> order = sort_ascending(diag, values);
   last_row.resize(n);
   for (std::size_t j = 0; j < n; ++j) last_row[j] = row[order[j]];
-}
-
-void sym_eigen(std::vector<double> a, std::size_t k, std::vector<double>& values,
-               std::vector<double>* vectors, std::size_t count) {
-  FNE_REQUIRE(k >= 1 && a.size() == k * k, "sym_eigen: matrix must be k x k");
-  const std::size_t n = k;
-  std::vector<double>& v = a;  // reduced in place; becomes the transform Q
-  std::vector<double> d(n, 0.0);
-  std::vector<double> e(n, 0.0);
-
-  // Householder reduction to tridiagonal form (EISPACK tred2 lineage):
-  // on exit v holds the orthogonal Q with A = Q T Qᵀ, d the diagonal and
-  // e[1..n-1] the subdiagonal of T.
-  for (std::size_t j = 0; j < n; ++j) d[j] = v[(n - 1) * n + j];
-  for (std::size_t i = n - 1; i > 0; --i) {
-    double scale = 0.0;
-    double h = 0.0;
-    for (std::size_t kk = 0; kk < i; ++kk) scale += std::fabs(d[kk]);
-    if (scale == 0.0) {
-      e[i] = d[i - 1];
-      for (std::size_t j = 0; j < i; ++j) {
-        d[j] = v[(i - 1) * n + j];
-        v[i * n + j] = 0.0;
-        v[j * n + i] = 0.0;
-      }
-    } else {
-      for (std::size_t kk = 0; kk < i; ++kk) {
-        d[kk] /= scale;
-        h += d[kk] * d[kk];
-      }
-      double f = d[i - 1];
-      double g = std::sqrt(h);
-      if (f > 0.0) g = -g;
-      e[i] = scale * g;
-      h -= f * g;
-      d[i - 1] = f - g;
-      for (std::size_t j = 0; j < i; ++j) e[j] = 0.0;
-      for (std::size_t j = 0; j < i; ++j) {
-        f = d[j];
-        v[j * n + i] = f;
-        g = e[j] + v[j * n + j] * f;
-        for (std::size_t kk = j + 1; kk < i; ++kk) {
-          g += v[kk * n + j] * d[kk];
-          e[kk] += v[kk * n + j] * f;
-        }
-        e[j] = g;
-      }
-      f = 0.0;
-      for (std::size_t j = 0; j < i; ++j) {
-        e[j] /= h;
-        f += e[j] * d[j];
-      }
-      const double hh = f / (h + h);
-      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
-      for (std::size_t j = 0; j < i; ++j) {
-        f = d[j];
-        g = e[j];
-        for (std::size_t kk = j; kk < i; ++kk) v[kk * n + j] -= f * e[kk] + g * d[kk];
-        d[j] = v[(i - 1) * n + j];
-        v[i * n + j] = 0.0;
-      }
-    }
-    d[i] = h;
-  }
-  // Accumulate the Householder transformations into v.
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    v[(n - 1) * n + i] = v[i * n + i];
-    v[i * n + i] = 1.0;
-    const double h = d[i + 1];
-    if (h != 0.0) {
-      for (std::size_t kk = 0; kk <= i; ++kk) d[kk] = v[kk * n + (i + 1)] / h;
-      for (std::size_t j = 0; j <= i; ++j) {
-        double g = 0.0;
-        for (std::size_t kk = 0; kk <= i; ++kk) g += v[kk * n + (i + 1)] * v[kk * n + j];
-        for (std::size_t kk = 0; kk <= i; ++kk) v[kk * n + j] -= g * d[kk];
-      }
-    }
-    for (std::size_t kk = 0; kk <= i; ++kk) v[kk * n + (i + 1)] = 0.0;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    d[j] = v[(n - 1) * n + j];
-    v[(n - 1) * n + j] = 0.0;
-  }
-  v[(n - 1) * n + (n - 1)] = 1.0;
-
-  // QL on (d, e[1..]), back-transforming through Q so the returned
-  // vectors are eigenvectors of the ORIGINAL dense matrix.  The
-  // accumulator starts as Q, transposed once into column-contiguous form.
-  std::vector<double> off(n, 0.0);
-  for (std::size_t i = 1; i < n; ++i) off[i - 1] = e[i];
-  std::vector<double> q;
-  if (vectors != nullptr) {
-    q.resize(n * n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) q[c * n + r] = v[r * n + c];
-    }
-  }
-  ql_solve(d, off, std::move(q), values, vectors, count);
 }
 
 }  // namespace fne

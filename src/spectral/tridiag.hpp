@@ -25,17 +25,9 @@ inline constexpr std::size_t kAllEigenvectors = std::numeric_limits<std::size_t>
 /// `vectors` is non-null, it holds the eigenvectors of the min(count, k)
 /// smallest eigenvalues: component i of eigenvector j is
 /// (*vectors)[j * k + i].
-///
-/// `init` (optional, k×k, column j = init[j*k .. j*k + k)) seeds the
-/// rotation accumulator with an orthogonal matrix Q instead of the
-/// identity: the returned vectors are then Q·z_j — eigenvectors expressed
-/// in the basis Q reduces FROM.  This is the back-transform hook sym_eigen
-/// uses after its Householder reduction (blocked Lanczos Rayleigh–Ritz,
-/// DESIGN.md §9).
 void tridiag_eigen(std::vector<double> diag, std::vector<double> off,
                    std::vector<double>& values, std::vector<double>* vectors,
-                   std::size_t count = kAllEigenvectors,
-                   const std::vector<double>* init = nullptr);
+                   std::size_t count = kAllEigenvectors);
 
 /// Convergence-check form of tridiag_eigen: the same ascending `values`
 /// and, in `last_row`, the last component of each eigenvector in the same
@@ -44,13 +36,5 @@ void tridiag_eigen(std::vector<double> diag, std::vector<double> off,
 /// β_k·|s_{k,j}| of a Lanczos Ritz pair needs nothing else.
 void tridiag_eigen_last_row(std::vector<double> diag, std::vector<double> off,
                             std::vector<double>& values, std::vector<double>& last_row);
-
-/// Eigen-decomposition of a dense symmetric k×k row-major matrix `a`:
-/// Householder reduction to tridiagonal form (EISPACK tred2 lineage)
-/// followed by the QL solve above.  Same output convention as
-/// tridiag_eigen; ~an order of magnitude cheaper than the cyclic Jacobi
-/// oracle (spectral/jacobi.hpp) at the basis sizes Rayleigh–Ritz meets.
-void sym_eigen(std::vector<double> a, std::size_t k, std::vector<double>& values,
-               std::vector<double>* vectors, std::size_t count = kAllEigenvectors);
 
 }  // namespace fne

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <string_view>
 #include <thread>
@@ -16,7 +17,11 @@ Cli::Cli(int argc, char** argv) {
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq == std::string_view::npos) {
-      values_[std::string(arg)] = "1";
+      // Assigned by append: `= "1"` trips GCC 12's bogus -Wrestrict
+      // diagnostic (PR 105329).
+      std::string& value = values_[std::string(arg)];
+      value.clear();
+      value += '1';
     } else {
       values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
     }
@@ -30,14 +35,37 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// REQUIREs that strto* consumed all of `text` without overflow.
+void require_whole_number(const std::string& key, const std::string& text, const char* end,
+                          const char* kind) {
+  FNE_REQUIRE(end != text.c_str() && *end == '\0' && errno != ERANGE,
+              "--" + key + ": '" + text + "' is not " + kind);
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  require_whole_number(key, text, end, "an integer in range");
+  return v;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  require_whole_number(key, text, end, "a number in range");
+  return v;
 }
 
 int Cli::get_threads(int fallback) const {

@@ -172,32 +172,27 @@ TEST(Lanczos, RitzVectorIsEigenvector) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-for-bit references.  ref_tridiag_eigen and ref_sym_eigen are the
-// row-major QL and Householder+QL solves as they stood before the
-// accumulator became column-contiguous; ref_rank1_plain is the plain
-// Lanczos solver that ran the full accumulation at every convergence
-// check.  The library must reproduce every bit of all three, so the
-// comparisons below use memcmp, never a tolerance.
+// Bit-for-bit references.  ref_tridiag_eigen is the row-major QL solve as
+// it stood before the accumulator became column-contiguous;
+// ref_rank1_plain is the plain Lanczos solver that ran the full
+// accumulation at every convergence check.  The library must reproduce
+// every bit of both, so the comparisons below use memcmp, never a
+// tolerance.
 // ---------------------------------------------------------------------------
 
 double ref_hypot2(double a, double b) { return std::sqrt(a * a + b * b); }
 
 /// Vectors row-major: (*vectors)[i * n + j] = component i of eigenvector j.
 void ref_tridiag_eigen(std::vector<double> diag, std::vector<double> off,
-                       std::vector<double>& values, std::vector<double>* vectors,
-                       const std::vector<double>* init = nullptr) {
+                       std::vector<double>& values, std::vector<double>* vectors) {
   const std::size_t n = diag.size();
   std::vector<double>& d = diag;
   std::vector<double> e(n, 0.0);
   std::copy(off.begin(), off.end(), e.begin());
   std::vector<double> z;
   if (vectors != nullptr) {
-    if (init != nullptr) {
-      z = *init;
-    } else {
-      z.assign(n * n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
-    }
+    z.assign(n * n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) z[i * n + i] = 1.0;
   }
   for (std::size_t l = 0; l < n; ++l) {
     int iter = 0;
@@ -258,88 +253,6 @@ void ref_tridiag_eigen(std::vector<double> diag, std::vector<double> off,
       for (std::size_t j = 0; j < n; ++j) (*vectors)[i * n + j] = z[i * n + order[j]];
     }
   }
-}
-
-void ref_sym_eigen(std::vector<double> a, std::size_t k, std::vector<double>& values,
-                   std::vector<double>* vectors) {
-  const std::size_t n = k;
-  std::vector<double>& v = a;
-  std::vector<double> d(n, 0.0);
-  std::vector<double> e(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) d[j] = v[(n - 1) * n + j];
-  for (std::size_t i = n - 1; i > 0; --i) {
-    double scale = 0.0;
-    double h = 0.0;
-    for (std::size_t kk = 0; kk < i; ++kk) scale += std::fabs(d[kk]);
-    if (scale == 0.0) {
-      e[i] = d[i - 1];
-      for (std::size_t j = 0; j < i; ++j) {
-        d[j] = v[(i - 1) * n + j];
-        v[i * n + j] = 0.0;
-        v[j * n + i] = 0.0;
-      }
-    } else {
-      for (std::size_t kk = 0; kk < i; ++kk) {
-        d[kk] /= scale;
-        h += d[kk] * d[kk];
-      }
-      double f = d[i - 1];
-      double g = std::sqrt(h);
-      if (f > 0.0) g = -g;
-      e[i] = scale * g;
-      h -= f * g;
-      d[i - 1] = f - g;
-      for (std::size_t j = 0; j < i; ++j) e[j] = 0.0;
-      for (std::size_t j = 0; j < i; ++j) {
-        f = d[j];
-        v[j * n + i] = f;
-        g = e[j] + v[j * n + j] * f;
-        for (std::size_t kk = j + 1; kk < i; ++kk) {
-          g += v[kk * n + j] * d[kk];
-          e[kk] += v[kk * n + j] * f;
-        }
-        e[j] = g;
-      }
-      f = 0.0;
-      for (std::size_t j = 0; j < i; ++j) {
-        e[j] /= h;
-        f += e[j] * d[j];
-      }
-      const double hh = f / (h + h);
-      for (std::size_t j = 0; j < i; ++j) e[j] -= hh * d[j];
-      for (std::size_t j = 0; j < i; ++j) {
-        f = d[j];
-        g = e[j];
-        for (std::size_t kk = j; kk < i; ++kk) v[kk * n + j] -= f * e[kk] + g * d[kk];
-        d[j] = v[(i - 1) * n + j];
-        v[i * n + j] = 0.0;
-      }
-    }
-    d[i] = h;
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    v[(n - 1) * n + i] = v[i * n + i];
-    v[i * n + i] = 1.0;
-    const double h = d[i + 1];
-    if (h != 0.0) {
-      for (std::size_t kk = 0; kk <= i; ++kk) d[kk] = v[kk * n + (i + 1)] / h;
-      for (std::size_t j = 0; j <= i; ++j) {
-        double g = 0.0;
-        for (std::size_t kk = 0; kk <= i; ++kk) g += v[kk * n + (i + 1)] * v[kk * n + j];
-        for (std::size_t kk = 0; kk <= i; ++kk) v[kk * n + j] -= g * d[kk];
-      }
-    }
-    for (std::size_t kk = 0; kk <= i; ++kk) v[kk * n + (i + 1)] = 0.0;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    d[j] = v[(n - 1) * n + j];
-    v[(n - 1) * n + j] = 0.0;
-  }
-  v[(n - 1) * n + (n - 1)] = 1.0;
-  std::vector<double> off(n > 1 ? n - 1 : 0, 0.0);
-  for (std::size_t i = 1; i < n; ++i) off[i - 1] = e[i];
-  ref_tridiag_eigen(std::move(d), std::move(off), values, vectors,
-                    vectors != nullptr ? &v : nullptr);
 }
 
 bool same_bits(const double* a, const double* b, std::size_t count) {
@@ -432,68 +345,23 @@ TEST(TridiagSplit, LastRowIsBitEqualToTheFullAccumulatorsLastRow) {
 
 TEST(TridiagSplit, ColumnAccumulatorIsBitEqualToTheRowMajorReference) {
   for (const std::size_t k : {1U, 2U, 3U, 17U, 64U, 301U}) {
-    // Any matrix exercises the init arithmetic; orthogonality is not needed
-    // for bit equality.
-    Rng rng(77 + k);
-    std::vector<double> init_rows(k * k);
-    for (auto& x : init_rows) x = rng.uniform01() * 2 - 1;
-    std::vector<double> init_cols(k * k);
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::vector<double> col = column(init_rows, k, j);
-      std::copy(col.begin(), col.end(), init_cols.begin() + static_cast<std::ptrdiff_t>(j * k));
-    }
     for (const TridiagCase& tc : tridiag_cases(k, 2000 + k)) {
-      for (const bool with_init : {false, true}) {
-        const std::string ctx = tc.name + " k=" + std::to_string(k) + " init=" +
-                                std::to_string(static_cast<int>(with_init));
-        std::vector<double> ref_values, ref_vectors, values, vectors, few;
-        ref_tridiag_eigen(tc.diag, tc.off, ref_values, &ref_vectors,
-                          with_init ? &init_rows : nullptr);
-        tridiag_eigen(tc.diag, tc.off, values, &vectors, kAllEigenvectors,
-                      with_init ? &init_cols : nullptr);
-        EXPECT_TRUE(same_bits(values, ref_values)) << ctx;
-        ASSERT_EQ(vectors.size(), k * k) << ctx;
-        for (std::size_t j = 0; j < k; ++j) {
-          EXPECT_TRUE(same_bits(&vectors[j * k], column(ref_vectors, k, j).data(), k))
-              << ctx << " j=" << j;
-        }
-        // A column-count request returns exactly the leading columns.
-        const std::size_t count = std::min<std::size_t>(3, k);
-        tridiag_eigen(tc.diag, tc.off, values, &few, count, with_init ? &init_cols : nullptr);
-        ASSERT_EQ(few.size(), count * k) << ctx;
-        EXPECT_TRUE(same_bits(few.data(), vectors.data(), count * k)) << ctx;
+      const std::string ctx = tc.name + " k=" + std::to_string(k);
+      std::vector<double> ref_values, ref_vectors, values, vectors, few;
+      ref_tridiag_eigen(tc.diag, tc.off, ref_values, &ref_vectors);
+      tridiag_eigen(tc.diag, tc.off, values, &vectors);
+      EXPECT_TRUE(same_bits(values, ref_values)) << ctx;
+      ASSERT_EQ(vectors.size(), k * k) << ctx;
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_TRUE(same_bits(&vectors[j * k], column(ref_vectors, k, j).data(), k))
+            << ctx << " j=" << j;
       }
+      // A column-count request returns exactly the leading columns.
+      const std::size_t count = std::min<std::size_t>(3, k);
+      tridiag_eigen(tc.diag, tc.off, values, &few, count);
+      ASSERT_EQ(few.size(), count * k) << ctx;
+      EXPECT_TRUE(same_bits(few.data(), vectors.data(), count * k)) << ctx;
     }
-  }
-}
-
-TEST(TridiagSplit, SymEigenIsBitEqualToTheRowMajorReference) {
-  for (const std::size_t k : {1U, 2U, 3U, 17U, 64U, 150U}) {
-    Rng rng(500 + k);
-    std::vector<double> a(k * k);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = i; j < k; ++j) {
-        const double x = rng.uniform01() * 2 - 1;
-        a[i * k + j] = x;
-        a[j * k + i] = x;
-      }
-    }
-    const std::string ctx = "k=" + std::to_string(k);
-    std::vector<double> ref_values, ref_vectors, values, vectors, bare_values, few;
-    ref_sym_eigen(a, k, ref_values, &ref_vectors);
-    sym_eigen(a, k, values, &vectors);
-    EXPECT_TRUE(same_bits(values, ref_values)) << ctx;
-    ASSERT_EQ(vectors.size(), k * k) << ctx;
-    for (std::size_t j = 0; j < k; ++j) {
-      EXPECT_TRUE(same_bits(&vectors[j * k], column(ref_vectors, k, j).data(), k))
-          << ctx << " j=" << j;
-    }
-    sym_eigen(a, k, bare_values, nullptr);
-    EXPECT_TRUE(same_bits(bare_values, ref_values)) << ctx;
-    const std::size_t count = std::min<std::size_t>(2, k);
-    sym_eigen(a, k, values, &few, count);
-    ASSERT_EQ(few.size(), count * k) << ctx;
-    EXPECT_TRUE(same_bits(few.data(), vectors.data(), count * k)) << ctx;
   }
 }
 
@@ -646,13 +514,27 @@ TEST(LanczosCheckSplit, PlainSolveIsBitEqualToTheFullCheckReference) {
         if (cap == 40 && !use_warm && !got.vectors.empty()) warm = got.vectors.front();
       }
     }
-    // Several pairs: every wanted column of the exit extraction.
+    // Several pairs: the reference solves them one at a time, seed + e,
+    // each deflating the vectors found before it.
     LanczosOptions opts;
     opts.num_eigenpairs = 3;
     opts.max_iterations = 120;
     opts.accel = SpectralAccel{SpectralMode::kPlain};
-    expect_same_solve(lanczos_smallest(op, n, defl, opts), ref_rank1_plain(op, n, defl, opts),
-                      fx.name + " pairs=3");
+    LanczosResult want;
+    want.converged = true;
+    std::vector<std::vector<double>> pair_defl = defl;
+    for (int e = 0; e < opts.num_eigenpairs; ++e) {
+      LanczosOptions one = opts;
+      one.num_eigenpairs = 1;
+      one.seed = opts.seed + static_cast<std::uint64_t>(e);
+      LanczosResult pair = ref_rank1_plain(op, n, pair_defl, one);
+      want.iterations += pair.iterations;
+      want.converged = want.converged && pair.converged;
+      want.values.push_back(pair.values.at(0));
+      want.vectors.push_back(pair.vectors.at(0));
+      pair_defl.push_back(pair.vectors.at(0));
+    }
+    expect_same_solve(lanczos_smallest(op, n, defl, opts), want, fx.name + " pairs=3");
   }
 }
 

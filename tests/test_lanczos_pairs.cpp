@@ -1,8 +1,10 @@
-// Blocked (rank-k) Lanczos contracts (DESIGN.md §9): eigenvalue parity
-// with k repeated deflated rank-1 solves and with the dense Jacobi
-// oracle, multiplicity resolution, the deflation-ghost regression, bit
-// determinism across OMP thread counts on both sides of
-// kSpectralParallelDim, and SubCsr cull-sequence parity.
+// Multi-pair Lanczos contracts (DESIGN.md §9): num_eigenpairs = k runs k
+// deflated rank-1 solves, bit-equal to k explicit single-pair calls with
+// seeds seed + e and progressive deflation.  Pinned here: that equality
+// in both modes, eigenvalue parity with the dense Jacobi oracle including
+// multiplicity, the deflation-ghost regression, the early stop when the
+// deflated space runs out, bit determinism across OMP thread counts on
+// both sides of kSpectralParallelDim, and SubCsr cull-sequence parity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +14,7 @@
 #include "spectral/jacobi.hpp"
 #include "spectral/lanczos.hpp"
 #include "spectral/operator.hpp"
-#include "spectral/tridiag.hpp"
+#include "topology/classic.hpp"
 #include "topology/mesh.hpp"
 #include "util/rng.hpp"
 
@@ -31,8 +33,8 @@ namespace {
   return {std::vector<double>(dim, 1.0)};
 }
 
-/// Dense Laplacian of the masked subgraph, for the Jacobi/sym_eigen
-/// oracles (small graphs only).
+/// Dense Laplacian of the masked subgraph, for the Jacobi oracle (small
+/// graphs only).
 [[nodiscard]] std::vector<double> dense_laplacian(const SubCsrLaplacian& lap) {
   const std::size_t n = lap.dim();
   std::vector<double> a(n * n, 0.0);
@@ -47,36 +49,10 @@ namespace {
   return a;
 }
 
-TEST(SymEigen, MatchesTheJacobiOracle) {
-  const Mesh mesh = Mesh::cube(5, 2);
-  SubCsr sub;
-  sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
-  const SubCsrLaplacian lap(sub);
-  const std::vector<double> a = dense_laplacian(lap);
-  const std::size_t n = lap.dim();
-
-  std::vector<double> jac_values;
-  std::vector<double> jac_vectors;
-  jacobi_eigen(a, n, jac_values, &jac_vectors);
-  std::vector<double> sym_values;
-  std::vector<double> sym_vectors;
-  sym_eigen(a, n, sym_values, &sym_vectors);
-
-  ASSERT_EQ(sym_values.size(), n);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(sym_values[i], jac_values[i], 1e-10);
-  // Eigenvectors: check they diagonalize (A v = λ v), not sign/order.
-  for (std::size_t e = 0; e < n; ++e) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double av = 0.0;
-      for (std::size_t j = 0; j < n; ++j) av += a[i * n + j] * sym_vectors[e * n + j];
-      EXPECT_NEAR(av, sym_values[e] * sym_vectors[e * n + i], 1e-9);
-    }
-  }
-}
-
-TEST(BlockedLanczos, MatchesTheDenseOracleIncludingMultiplicity) {
+TEST(LanczosPairs, MatchesTheDenseOracleIncludingMultiplicity) {
   // The square mesh's λ₂ is doubly degenerate — the case a single Krylov
-  // chain cannot resolve in exact arithmetic and the blocked kernel must.
+  // chain cannot resolve in exact arithmetic; deflating the first λ₂
+  // vector leaves its twin as the smallest value of the second solve.
   const Mesh mesh = Mesh::cube(8, 2);
   SubCsr sub;
   sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
@@ -86,21 +62,21 @@ TEST(BlockedLanczos, MatchesTheDenseOracleIncludingMultiplicity) {
   ASSERT_NEAR(oracle_values[0], 0.0, 1e-10);  // kernel (connected graph)
   ASSERT_NEAR(oracle_values[1], oracle_values[2], 1e-10) << "λ₂ must be degenerate";
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-9;
   const LanczosResult result =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(result.converged);
   ASSERT_EQ(result.values.size(), 4u);
-  // Deflating ones removes the kernel: blocked values are oracle[1..4].
+  // Deflating ones removes the kernel: the pairs are oracle[1..4].
   for (int e = 0; e < 4; ++e) {
     EXPECT_NEAR(result.values[static_cast<std::size_t>(e)],
                 oracle_values[static_cast<std::size_t>(e) + 1], 1e-7);
   }
 }
 
-TEST(BlockedLanczos, RankKMatchesRepeatedRankOneSolves) {
+TEST(LanczosPairs, KPairsAreKDeflatedSinglePairSolves) {
   const Mesh mesh = Mesh::cube(16, 2);
   const Graph& g = mesh.graph();
   const VertexSet alive = largest_component(g, random_node_faults(g, 0.25, 99));
@@ -109,48 +85,76 @@ TEST(BlockedLanczos, RankKMatchesRepeatedRankOneSolves) {
   const SubCsrLaplacian lap(sub);
   const std::size_t dim = lap.dim();
   ASSERT_GE(dim, 32u);
+  std::vector<double> warm(dim);
+  for (std::size_t i = 0; i < dim; ++i) warm[i] = std::sin(0.1 * static_cast<double>(i));
 
-  // k repeated rank-1 solves with progressive deflation.
-  std::vector<std::vector<double>> defl = ones_deflation(dim);
-  std::vector<double> seq_values;
-  for (int e = 0; e < 3; ++e) {
+  for (const SpectralMode mode : {SpectralMode::kPlain, SpectralMode::kFiltered}) {
+    SCOPED_TRACE(mode == SpectralMode::kPlain ? "plain" : "filtered");
     LanczosOptions opts;
+    opts.num_eigenpairs = 3;
     opts.tolerance = 1e-9;
     opts.max_iterations = 400;
-    opts.seed = 17 + static_cast<std::uint64_t>(e);
-    const LanczosResult r = lanczos_smallest(as_operator(lap), dim, defl, opts);
-    ASSERT_TRUE(r.converged);
-    seq_values.push_back(r.values.at(0));
-    defl.push_back(r.vectors.at(0));
-  }
+    opts.seed = 17;
+    opts.initial = &warm;
+    opts.accel = SpectralAccel{mode, gershgorin_upper_bound(sub)};
+    const LanczosResult pairs = lanczos_smallest(as_operator(lap), dim, ones_deflation(dim), opts);
 
-  BlockLanczosOptions opts;
-  opts.num_eigenpairs = 3;
-  opts.tolerance = 1e-9;
-  opts.max_basis = 400;
-  opts.seed = 17;
-  const LanczosResult blocked =
-      lanczos_smallest_block(as_operator(lap), dim, ones_deflation(dim), opts);
-  ASSERT_TRUE(blocked.converged);
-  for (int e = 0; e < 3; ++e) {
-    EXPECT_NEAR(blocked.values[static_cast<std::size_t>(e)],
-                seq_values[static_cast<std::size_t>(e)], 1e-7);
-  }
-  // Ritz vectors are genuine eigenvectors: residual check through the op.
-  std::vector<double> av(dim);
-  for (int e = 0; e < 3; ++e) {
-    const auto& v = blocked.vectors[static_cast<std::size_t>(e)];
-    lap.apply(v, av);
-    double r2 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double d = av[i] - blocked.values[static_cast<std::size_t>(e)] * v[i];
-      r2 += d * d;
+    // The same pairs by hand: seed + e, the warm start on pair 0 only,
+    // every found vector deflated from the solves after it.
+    std::vector<std::vector<double>> defl = ones_deflation(dim);
+    int iterations = 0;
+    bool converged = true;
+    for (int e = 0; e < 3; ++e) {
+      LanczosOptions one = opts;
+      one.num_eigenpairs = 1;
+      one.seed = 17 + static_cast<std::uint64_t>(e);
+      one.initial = e == 0 ? &warm : nullptr;
+      const LanczosResult r = lanczos_smallest(as_operator(lap), dim, defl, one);
+      ASSERT_EQ(r.values.size(), 1u);
+      iterations += r.iterations;
+      converged = converged && r.converged;
+      ASSERT_EQ(pairs.values.at(static_cast<std::size_t>(e)), r.values[0]) << "pair " << e;
+      ASSERT_EQ(pairs.vectors.at(static_cast<std::size_t>(e)), r.vectors[0]) << "pair " << e;
+      defl.push_back(r.vectors[0]);
     }
-    EXPECT_LE(std::sqrt(r2), 1e-6);
+    ASSERT_EQ(pairs.values.size(), 3u);
+    EXPECT_EQ(pairs.iterations, iterations);
+    EXPECT_EQ(pairs.converged, converged);
+    ASSERT_TRUE(pairs.converged);
+
+    // Ritz vectors are genuine eigenvectors: residual check through the op.
+    std::vector<double> av(dim);
+    for (int e = 0; e < 3; ++e) {
+      const auto& v = pairs.vectors[static_cast<std::size_t>(e)];
+      lap.apply(v, av);
+      double r2 = 0.0;
+      for (std::size_t i = 0; i < dim; ++i) {
+        const double d = av[i] - pairs.values[static_cast<std::size_t>(e)] * v[i];
+        r2 += d * d;
+      }
+      EXPECT_LE(std::sqrt(r2), 1e-6);
+    }
   }
 }
 
-TEST(BlockedLanczos, DeflationGhostRegression) {
+TEST(LanczosPairs, StopsWhenTheDeflatedSpaceRunsOut) {
+  // P3's Laplacian spectrum is {0, 1, 3}: with ones deflated only two
+  // pairs exist, so a request for four returns those two, converged.
+  const Graph g = path_graph(3);
+  SubCsr sub;
+  sub.build(g, VertexSet::full(3));
+  const SubCsrLaplacian lap(sub);
+  LanczosOptions opts;
+  opts.num_eigenpairs = 4;
+  const LanczosResult result = lanczos_smallest(as_operator(lap), 3, ones_deflation(3), opts);
+  ASSERT_TRUE(result.converged);
+  ASSERT_EQ(result.values.size(), 2u);
+  ASSERT_EQ(result.vectors.size(), 2u);
+  EXPECT_NEAR(result.values[0], 1.0, 1e-9);
+  EXPECT_NEAR(result.values[1], 3.0, 1e-9);
+}
+
+TEST(LanczosPairs, DeflationGhostRegression) {
   // Long solves used to grow a ghost copy of the DEFLATED eigenvalue
   // (ones/kernel, λ = 0): one Gram–Schmidt pass against the deflation
   // left an ε-residue that normalization amplified whenever the remainder
@@ -161,12 +165,12 @@ TEST(BlockedLanczos, DeflationGhostRegression) {
   sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
   const SubCsrLaplacian lap(sub);
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-8;
-  opts.max_basis = 500;
+  opts.max_iterations = 500;
   const LanczosResult result =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(result.converged);
   // Path eigenvalues 2 - 2cos(πk/20); mesh eigenvalues are pairwise sums.
   const double mu = 2.0 - 2.0 * std::cos(M_PI / 20.0);
@@ -176,10 +180,10 @@ TEST(BlockedLanczos, DeflationGhostRegression) {
   EXPECT_GT(result.values[0], 1e-3) << "a value near 0 is the deflation ghost";
 }
 
-TEST(BlockedLanczos, DeterministicBelowAndAboveParallelThreshold) {
-  // Same contract as the k = 1 kernel (test_subcsr.cpp): a solve is a
-  // pure function of its inputs — identical bits for every OMP thread
-  // count, on both sides of kSpectralParallelDim.
+TEST(LanczosPairs, DeterministicBelowAndAboveParallelThreshold) {
+  // Same contract as a single pair (test_subcsr.cpp): a solve is a pure
+  // function of its inputs — identical bits for every OMP thread count,
+  // on both sides of kSpectralParallelDim.
   for (const std::size_t n : {std::size_t{512}, kSpectralParallelDim + 512}) {
     const auto op = [n](const std::vector<double>& x, std::vector<double>& y) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -188,13 +192,13 @@ TEST(BlockedLanczos, DeterministicBelowAndAboveParallelThreshold) {
         y[i] = d * x[i];
       }
     };
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = 4;
-    opts.max_basis = 120;
+    opts.max_iterations = 120;
     opts.tolerance = 1e-9;
     opts.seed = 11;
 
-    const auto solve = [&] { return lanczos_smallest_block(op, n, {}, opts); };
+    const auto solve = [&] { return lanczos_smallest(op, n, {}, opts); };
     const LanczosResult first = solve();
 
 #ifdef _OPENMP
@@ -219,8 +223,8 @@ TEST(BlockedLanczos, DeterministicBelowAndAboveParallelThreshold) {
   }
 }
 
-TEST(BlockedLanczosSlow, CullSequenceParityOnShrunkSubCsr) {
-  // The engine shrinks its SubCsr incrementally (remove()); a blocked
+TEST(LanczosPairsSlow, CullSequenceParityOnShrunkSubCsr) {
+  // The engine shrinks its SubCsr incrementally (remove()); a multi-pair
   // solve over the shrunk operator must be bit-identical to one over a
   // freshly built operator for the same alive mask.
   const Mesh mesh = Mesh::cube(14, 2);
@@ -246,26 +250,23 @@ TEST(BlockedLanczosSlow, CullSequenceParityOnShrunkSubCsr) {
 
     SubCsr fresh;
     fresh.build(g, alive);
-    const VertexSet comp = largest_component(g, alive);
-    // Solve over the largest component via each operator's compact space:
-    // both must agree bit for bit when the structures match.
+    // Both operators must agree bit for bit when the structures match.
     ASSERT_EQ(incremental.verts, fresh.verts);
     ASSERT_EQ(incremental.adj, fresh.adj);
     ASSERT_EQ(incremental.deg, fresh.deg);
 
     const SubCsrLaplacian a(incremental);
     const SubCsrLaplacian b(fresh);
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = 2;
-    opts.max_basis = 200;
+    opts.max_iterations = 200;
     opts.tolerance = 1e-7;
     opts.seed = 7 + static_cast<std::uint64_t>(round);
-    const LanczosResult ra = lanczos_smallest_block(as_operator(a), a.dim(), {}, opts);
-    const LanczosResult rb = lanczos_smallest_block(as_operator(b), b.dim(), {}, opts);
+    const LanczosResult ra = lanczos_smallest(as_operator(a), a.dim(), {}, opts);
+    const LanczosResult rb = lanczos_smallest(as_operator(b), b.dim(), {}, opts);
     ASSERT_EQ(ra.iterations, rb.iterations);
     ASSERT_EQ(ra.values, rb.values);
     ASSERT_EQ(ra.vectors, rb.vectors);
-    (void)comp;
   }
 }
 

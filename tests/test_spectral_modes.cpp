@@ -6,8 +6,8 @@
 // every mode must stay bit-identical for any OMP thread count on both
 // sides of kSpectralParallelDim.  The Slow suite adds the
 // clustered-spectrum regression the filter exists for: the side-96
-// mesh, where the plain blocked solver cannot converge within a
-// 250-vector basis and the filtered solver must.
+// mesh, where plain deflated solves cannot converge within 250
+// iterations per pair and filtered ones must.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -117,21 +117,21 @@ TEST(SpectralModes, FilteredMatchesPlainOnMesh) {
   EXPECT_NEAR(filtered.values[0], mu, 1e-6);
   EXPECT_NEAR(filtered.values[0], plain.values[0], 1e-6);
 
-  // Blocked k = 4: values match the plain blocked solve pairwise.
-  BlockLanczosOptions bopts;
-  bopts.num_eigenpairs = 4;
-  bopts.tolerance = 1e-8;
-  bopts.max_basis = 500;
-  const LanczosResult bplain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
-  bopts.accel = accel_for(SpectralMode::kFiltered, sub);
-  const LanczosResult bfilt =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), bopts);
-  ASSERT_TRUE(bplain.converged);
-  ASSERT_TRUE(bfilt.converged);
-  ASSERT_EQ(bplain.values.size(), bfilt.values.size());
-  for (std::size_t e = 0; e < bplain.values.size(); ++e) {
-    EXPECT_NEAR(bfilt.values[e], bplain.values[e], 1e-6) << "pair " << e;
+  // k = 4 deflated pairs: values match the plain pairs pairwise.
+  LanczosOptions pair_opts;
+  pair_opts.num_eigenpairs = 4;
+  pair_opts.tolerance = 1e-8;
+  pair_opts.max_iterations = 500;
+  const LanczosResult pairs_plain =
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), pair_opts);
+  pair_opts.accel = accel_for(SpectralMode::kFiltered, sub);
+  const LanczosResult pairs_filtered =
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), pair_opts);
+  ASSERT_TRUE(pairs_plain.converged);
+  ASSERT_TRUE(pairs_filtered.converged);
+  ASSERT_EQ(pairs_plain.values.size(), pairs_filtered.values.size());
+  for (std::size_t e = 0; e < pairs_plain.values.size(); ++e) {
+    EXPECT_NEAR(pairs_filtered.values[e], pairs_plain.values[e], 1e-6) << "pair " << e;
   }
 }
 
@@ -141,15 +141,15 @@ TEST(SpectralModes, FilteredMatchesPlainOnRandomRegular) {
   sub.build(g, VertexSet::full(g.num_vertices()));
   const SubCsrLaplacian lap(sub);
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-8;
-  opts.max_basis = 400;
+  opts.max_iterations = 400;
   const LanczosResult plain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   opts.accel = accel_for(SpectralMode::kFiltered, sub);
   const LanczosResult filtered =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(plain.converged);
   ASSERT_TRUE(filtered.converged);
   ASSERT_EQ(plain.values.size(), filtered.values.size());
@@ -186,15 +186,15 @@ TEST(SpectralModes, FilteredParityOnCullSequence) {
     if (comp.count() != alive.count()) break;  // solver needs connectivity
 
     const SubCsrLaplacian lap(incremental);
-    BlockLanczosOptions opts;
+    LanczosOptions opts;
     opts.num_eigenpairs = 2;
     opts.tolerance = 1e-7;
-    opts.max_basis = 300;
+    opts.max_iterations = 300;
     const LanczosResult plain =
-        lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+        lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
     opts.accel = accel_for(SpectralMode::kFiltered, incremental);
     const LanczosResult filtered =
-        lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+        lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
     SCOPED_TRACE(round);
     ASSERT_TRUE(plain.converged);
     ASSERT_TRUE(filtered.converged);
@@ -251,27 +251,27 @@ TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
 TEST(SpectralModesSlow, ClusteredSpectrumRegressionSide96) {
   // The case the filter exists for: the side-96 mesh's bottom cluster
   // (μ₁, μ₁, 2μ₁, μ₂ ≈ 0.001–0.004) sits under a spectrum reaching 8,
-  // and a plain blocked solve cannot separate it within a 250-vector
-  // basis at tol 1e-5.  The Chebyshev filter must converge in the same
-  // budget AND reproduce the closed-form eigenvalues — fast but wrong
-  // is caught here.
+  // and plain deflated solves cannot separate it within 250 iterations
+  // per pair at tol 1e-5.  The Chebyshev filter must converge in the
+  // same budget AND reproduce the closed-form eigenvalues — fast but
+  // wrong is caught here.
   const Mesh mesh = Mesh::cube(96, 2);
   SubCsr sub;
   sub.build(mesh.graph(), VertexSet::full(mesh.num_vertices()));
   const SubCsrLaplacian lap(sub);
 
-  BlockLanczosOptions opts;
+  LanczosOptions opts;
   opts.num_eigenpairs = 4;
   opts.tolerance = 1e-5;
-  opts.max_basis = 250;
+  opts.max_iterations = 250;
   const LanczosResult plain =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   EXPECT_FALSE(plain.converged)
       << "plain converged inside the cap — the regression no longer bites; tighten it";
 
   opts.accel = accel_for(SpectralMode::kFiltered, sub);
   const LanczosResult filtered =
-      lanczos_smallest_block(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+      lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
   ASSERT_TRUE(filtered.converged);
   ASSERT_EQ(filtered.values.size(), 4u);
   const double mu1 = path_mu(1, 96);

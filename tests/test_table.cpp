@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,40 @@ TEST(Cli, RequireKnownRejectsUnreadFlags) {
   EXPECT_NO_THROW(cli.require_known({"thread", "seed"}));
   Cli bare(1, const_cast<char**>(argv));
   EXPECT_NO_THROW(bare.require_known({}));
+}
+
+TEST(Cli, RejectsMalformedNumbersNamingTheFlag) {
+  const char* argv[] = {"prog",     "--reps=2x", "--alpha=0.2.5", "--side=abc",
+                        "--empty=", "--big=99999999999999999999",    "--tiny=1e-400",
+                        "--huge=1e400"};
+  Cli cli(8, const_cast<char**>(argv));
+  const auto expect_rejected = [](const auto& read, const std::string& flag) {
+    try {
+      read();
+      FAIL() << "expected PreconditionError for --" << flag;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected([&] { return cli.get_int("reps", 1); }, "reps");
+  expect_rejected([&] { return cli.get_double("alpha", 0.0); }, "alpha");
+  expect_rejected([&] { return cli.get_int("side", 24); }, "side");
+  expect_rejected([&] { return cli.get_double("side", 24.0); }, "side");
+  expect_rejected([&] { return cli.get_int("empty", 0); }, "empty");
+  expect_rejected([&] { return cli.get_int("big", 0); }, "big");
+  expect_rejected([&] { return cli.get_double("tiny", 0.0); }, "tiny");
+  expect_rejected([&] { return cli.get_double("huge", 0.0); }, "huge");
+}
+
+TEST(Cli, BareFlagsAndSignedValuesStillParse) {
+  const char* argv[] = {"prog", "--threads", "--offset=-3", "--eps=-0.5", "--rate=1e-3"};
+  Cli cli(5, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("threads", 0), 1);
+  EXPECT_DOUBLE_EQ(cli.get_double("threads", 0.0), 1.0);
+  EXPECT_EQ(cli.get_int("offset", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), -0.5);
+  EXPECT_DOUBLE_EQ(cli.get_double("rate", 0.0), 1e-3);
+  EXPECT_EQ(cli.get_int("absent", 7), 7);
 }
 
 TEST(Timer, MeasuresNonNegativeTime) {
