@@ -474,8 +474,9 @@ int main(int argc, char** argv) {
   const bool kernel_pass = spectral_kernel_section(g, first_alive, seed, min_spectral, &json);
 
   // Chebyshev-filter acceptance: filtered vs plain deflated pairs on the
-  // largest component of a --filtered-side mesh (default 96 — above
-  // kFilteredAutoDim, where kAuto itself would pick the filter).
+  // largest component of a --filtered-side mesh (default 96; the side-64
+  // CI run and the side-96 run are both far above kFilteredAutoDim = 512,
+  // where kAuto itself picks the filter).
   // --min-filtered-speedup relaxes the 3x default on reduced-size CI runs.
   const double min_filtered = cli.get_double("min-filtered-speedup", 3.0);
   const auto filtered_side = static_cast<vid>(cli.get_int("filtered-side", 96));

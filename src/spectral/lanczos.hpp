@@ -41,8 +41,9 @@ namespace fne {
 ///               iterations.  The cut comes from a short plain probe.
 ///               Needs op_upper_bound (Gershgorin over SubCsr rows for
 ///               Laplacians).
-///   kAuto     — plain below kFilteredAutoDim; filtered at or above it
-///               when op_upper_bound is available (else plain).  Every
+///   kAuto     — plain below kFilteredAutoDim (512); filtered at or
+///               above it when op_upper_bound is available (else plain),
+///               so every prune-sized component takes the filter.  Every
 ///               library consumer solves in this mode; kPlain/kFiltered
 ///               exist so tests and benches can pit the two paths.
 ///
@@ -54,10 +55,13 @@ namespace fne {
 enum class SpectralMode { kPlain, kFiltered, kAuto };
 
 /// Dimension at or above which kAuto switches from plain to filtered.
-/// Below it the plain solver converges within the engine's staged caps
-/// and auto must not perturb existing results (the deterministic engine
-/// == reference parity runs through this resolution on both sides).
-inline constexpr std::size_t kFilteredAutoDim = 8192;
+/// From n = 512 up the filter reaches the same λ₂ in a third to a
+/// quarter of plain's iterations (DESIGN.md §10).  512 is the smallest
+/// power of two at which every reproduce/ golden stays byte-identical
+/// (at 128 E3's payload changes), and it keeps every service_mixed graph
+/// (n ≤ 484) on the plain path.  The deterministic engine == reference
+/// parity is unaffected: both sides resolve through resolve_accel_mode.
+inline constexpr std::size_t kFilteredAutoDim = 512;
 
 /// Acceleration settings of a solve.
 struct SpectralAccel {

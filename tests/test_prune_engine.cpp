@@ -145,19 +145,29 @@ TEST(PruneEngine, PinnedSolveCountsOnAFixedFixture) {
   // one deterministic run on the same engine.  Which sets are culled, and
   // so how many cull iterations and Fiedler solves a run takes, follows the
   // bits of every solve: a spectral change that moves an iteration count
-  // or a vector bit shows up here as a diff.
+  // or a vector bit shows up here as a diff.  The 764-vertex component is
+  // above kFilteredAutoDim, so both runs take the Chebyshev-filtered path;
+  // each run must replay as a valid trace before its counts are pinned.
   const Graph g = Mesh({32, 32}).graph();
   const VertexSet alive = random_node_faults(g, 0.25, 2024);
+  const double alpha = 0.3;
+  const double eps = 0.25;
   PruneEngine engine(g, ExpansionKind::Edge);
-  const PruneResult fast = engine.run(alive, 0.3, 0.25, PruneEngineOptions::fast());
-  const PruneResult det = engine.run(alive, 0.3, 0.25);
+  const PruneResult fast = engine.run(alive, alpha, eps, PruneEngineOptions::fast());
+  const PruneResult det = engine.run(alive, alpha, eps);
+  for (const PruneResult* r : {&fast, &det}) {
+    const TraceVerification v =
+        verify_prune_trace(g, alive, *r, ExpansionKind::Edge, alpha * eps);
+    EXPECT_TRUE(v.valid) << (r == &fast ? "fast: " : "det: ") << v.reason;
+  }
+  expect_identical(det, prune2_reference(g, alive, alpha, eps), "filtered fixture");
   EXPECT_EQ(alive.count(), 764U);
-  EXPECT_EQ(fast.survivors.count(), 91U);
+  EXPECT_EQ(fast.survivors.count(), 95U);
   EXPECT_EQ(det.survivors.count(), 131U);
-  EXPECT_EQ(engine.stats().iterations, 27U);
+  EXPECT_EQ(engine.stats().iterations, 28U);
   EXPECT_EQ(engine.stats().eigensolves, 10U);
-  EXPECT_EQ(engine.stats().stale_sweeps, 6U);
-  EXPECT_EQ(engine.stats().stale_sweep_hits, 4U);
+  EXPECT_EQ(engine.stats().stale_sweeps, 7U);
+  EXPECT_EQ(engine.stats().stale_sweep_hits, 5U);
 }
 
 TEST(PruneEngine, HandlesShatteredAndTinyMasks) {

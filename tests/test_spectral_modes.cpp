@@ -70,6 +70,8 @@ TEST(SpectralModes, AutoResolvesBySizeAndBound) {
   accel.op_upper_bound = 8.0;
   EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim - 1), SpectralMode::kPlain);
   EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim), SpectralMode::kFiltered);
+  EXPECT_EQ(resolve_accel_mode(accel, 511), SpectralMode::kPlain);
+  EXPECT_EQ(resolve_accel_mode(accel, 512), SpectralMode::kFiltered);
   accel.op_upper_bound = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim), SpectralMode::kPlain)
       << "auto must not pick filtered without a usable upper bound";
@@ -78,6 +80,44 @@ TEST(SpectralModes, AutoResolvesBySizeAndBound) {
   EXPECT_EQ(resolve_accel_mode(accel, kFilteredAutoDim), SpectralMode::kPlain);
   accel.mode = SpectralMode::kFiltered;
   EXPECT_EQ(resolve_accel_mode(accel, 10), SpectralMode::kFiltered);
+}
+
+TEST(SpectralModes, AutoFiltersAFaultyComponentFrom512) {
+  // The gate on a real prune-sized input: the largest component of a
+  // faulty 32x32 mesh is above kFilteredAutoDim, so kAuto (the mode
+  // fiedler_vector solves in) must be exactly the filtered solve, agree
+  // with plain on λ₂ and take fewer iterations than plain.
+  const Mesh mesh = Mesh::cube(32, 2);
+  const Graph& g = mesh.graph();
+  const VertexSet alive = largest_component(g, random_node_faults(g, 0.2, 2024));
+  SubCsr sub;
+  sub.build(g, alive);
+  ASSERT_GT(sub.dim(), kFilteredAutoDim);
+  const SubCsrLaplacian lap(sub);
+
+  const FiedlerOptions fiedler_opts;
+  const auto solve = [&](SpectralMode mode) {
+    LanczosOptions opts;
+    opts.seed = fiedler_opts.seed;
+    opts.max_iterations = fiedler_opts.max_iterations;
+    opts.tolerance = fiedler_opts.tolerance;
+    opts.accel = accel_for(mode, sub);
+    return lanczos_smallest(as_operator(lap), lap.dim(), ones_deflation(lap.dim()), opts);
+  };
+  const LanczosResult automatic = solve(SpectralMode::kAuto);
+  const LanczosResult filtered = solve(SpectralMode::kFiltered);
+  const LanczosResult plain = solve(SpectralMode::kPlain);
+  ASSERT_TRUE(filtered.converged);
+  ASSERT_TRUE(plain.converged);
+  EXPECT_EQ(automatic.iterations, filtered.iterations);
+  EXPECT_EQ(automatic.values, filtered.values);
+  EXPECT_EQ(automatic.vectors, filtered.vectors);
+  EXPECT_NEAR(filtered.values[0], plain.values[0], 1e-8);
+  EXPECT_LT(filtered.iterations, plain.iterations);
+
+  // The library consumer resolves the same way.
+  const FiedlerResult fiedler = fiedler_vector(g, alive, fiedler_opts);
+  EXPECT_EQ(fiedler.lambda2, filtered.values[0]);
 }
 
 TEST(SpectralModes, GershgorinBoundDominatesTheSpectrum) {
@@ -161,16 +201,20 @@ TEST(SpectralModes, FilteredMatchesPlainOnRandomRegular) {
 TEST(SpectralModes, FilteredParityOnCullSequence) {
   // The engine pairs accelerated solves with an incrementally shrunk
   // SubCsr; filtered results over the shrunk operator must match plain
-  // results for the same mask at every step of a cull sequence.
-  const Mesh mesh = Mesh::cube(14, 2);
+  // results for the same mask at every step of a cull sequence.  Each
+  // round culls a few random vertices, then keeps only the largest
+  // component (the solver needs connectivity), dropping the detached
+  // pieces from the SubCsr as the engine does.  Every round stays at or
+  // above kFilteredAutoDim, the regime where kAuto runs the filter.
+  const Mesh mesh = Mesh::cube(28, 2);
   const Graph& g = mesh.graph();
-  VertexSet alive = random_node_faults(g, 0.15, 5);
-  alive = largest_component(g, alive);
+  VertexSet alive = largest_component(g, random_node_faults(g, 0.1, 5));
 
   SubCsr incremental;
   incremental.build(g, alive);
   Rng rng(123);
-  for (int round = 0; round < 3; ++round) {
+  int compared = 0;
+  for (int round = 0; round < 4; ++round) {
     VertexSet culled(g.num_vertices());
     int budget = 6;
     alive.for_each([&](vid v) {
@@ -179,11 +223,15 @@ TEST(SpectralModes, FilteredParityOnCullSequence) {
         --budget;
       }
     });
-    if (culled.count() == 0) continue;
     culled.for_each([&](vid v) { alive.reset(v); });
-    incremental.remove(culled);
     const VertexSet comp = largest_component(g, alive);
-    if (comp.count() != alive.count()) break;  // solver needs connectivity
+    alive.for_each([&](vid v) {
+      if (!comp.test(v)) culled.set(v);
+    });
+    alive = comp;
+    incremental.remove(culled);
+    ASSERT_EQ(incremental.dim(), alive.count());
+    ASSERT_GE(incremental.dim(), kFilteredAutoDim);
 
     const SubCsrLaplacian lap(incremental);
     LanczosOptions opts;
@@ -198,10 +246,13 @@ TEST(SpectralModes, FilteredParityOnCullSequence) {
     SCOPED_TRACE(round);
     ASSERT_TRUE(plain.converged);
     ASSERT_TRUE(filtered.converged);
+    ASSERT_EQ(plain.values.size(), filtered.values.size());
     for (std::size_t e = 0; e < plain.values.size(); ++e) {
       EXPECT_NEAR(filtered.values[e], plain.values[e], 1e-5) << "pair " << e;
     }
+    ++compared;
   }
+  EXPECT_GE(compared, 2);
 }
 
 TEST(SpectralModesSlow, BitIdenticalAcrossThreadsEveryMode) {
