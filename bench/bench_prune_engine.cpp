@@ -475,7 +475,7 @@ int main(int argc, char** argv) {
 
   // Chebyshev-filter acceptance: filtered vs plain deflated pairs on the
   // largest component of a --filtered-side mesh (default 96; the side-64
-  // CI run and the side-96 run are both far above kFilteredAutoDim = 512,
+  // CI run and the side-96 run are both far above kFilteredAutoDim = 256,
   // where kAuto itself picks the filter).
   // --min-filtered-speedup relaxes the 3x default on reduced-size CI runs.
   const double min_filtered = cli.get_double("min-filtered-speedup", 3.0);

@@ -41,7 +41,7 @@ namespace fne {
 ///               iterations.  The cut comes from a short plain probe.
 ///               Needs op_upper_bound (Gershgorin over SubCsr rows for
 ///               Laplacians).
-///   kAuto     — plain below kFilteredAutoDim (512); filtered at or
+///   kAuto     — plain below kFilteredAutoDim (256); filtered at or
 ///               above it when op_upper_bound is available (else plain),
 ///               so every prune-sized component takes the filter.  Every
 ///               library consumer solves in this mode; kPlain/kFiltered
@@ -55,13 +55,14 @@ namespace fne {
 enum class SpectralMode { kPlain, kFiltered, kAuto };
 
 /// Dimension at or above which kAuto switches from plain to filtered.
-/// From n = 512 up the filter reaches the same λ₂ in a third to a
-/// quarter of plain's iterations (DESIGN.md §10).  512 is the smallest
-/// power of two at which every reproduce/ golden stays byte-identical
-/// (at 128 E3's payload changes), and it keeps every service_mixed graph
-/// (n ≤ 484) on the plain path.  The deterministic engine == reference
-/// parity is unaffected: both sides resolve through resolve_accel_mode.
-inline constexpr std::size_t kFilteredAutoDim = 512;
+/// From a few hundred vertices up the filter reaches the same λ₂ with a
+/// Krylov basis a third to a quarter of plain's (DESIGN.md §10).  256 is
+/// the smallest power of two at which every reproduce/ golden stays
+/// byte-identical (at 128 E3's payload changes); the prune-heavy and the
+/// service benchmarks both run faster at 256 than at 512.  The
+/// deterministic engine == reference parity is unaffected: both sides
+/// resolve through resolve_accel_mode.
+inline constexpr std::size_t kFilteredAutoDim = 256;
 
 /// Acceleration settings of a solve.
 struct SpectralAccel {

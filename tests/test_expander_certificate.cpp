@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "expansion/exact.hpp"
+#include "spectral/lanczos.hpp"
+#include "spectral/operator.hpp"
 #include "topology/classic.hpp"
 #include "topology/hypercube.hpp"
 #include "topology/random_graphs.hpp"
@@ -57,6 +59,40 @@ TEST(ExpanderCertificate, RandomRegularIsNearRamanujan) {
   ASSERT_TRUE(cert.converged);
   EXPECT_LT(cert.lambda, 2.0 * std::sqrt(3.0) + 0.45);
   EXPECT_GT(cert.spectral_gap, 0.5);
+}
+
+TEST(ExpanderCertificate, FilteredSolvesMatchPlainAboveTheGate) {
+  // Above kFilteredAutoDim both of certify_expander's solves take the
+  // Chebyshev-filtered path: the Fiedler solve with the Gershgorin bound
+  // and the top solve on -L with upper bound 0.  The certificate must
+  // converge and agree with explicit plain solves of the same operator.
+  const vid n = 1024;
+  const Graph g = random_regular(n, 4, 5);
+  ASSERT_EQ(resolve_accel_mode(SpectralAccel{SpectralMode::kAuto, 0.0}, n),
+            SpectralMode::kFiltered);
+  const ExpanderCertificate cert = certify_expander(g, 5);
+  ASSERT_TRUE(cert.converged);
+
+  SubCsr sub;
+  sub.build(g, VertexSet::full(n));
+  const SubCsrLaplacian lap(sub);
+  LanczosOptions opts;
+  opts.max_iterations = 1000;
+  opts.tolerance = 1e-10;
+  opts.accel.mode = SpectralMode::kPlain;
+  const LanczosResult bottom = lanczos_smallest(
+      [&lap](const std::vector<double>& x, std::vector<double>& y) { lap.apply(x, y); }, n,
+      {std::vector<double>(n, 1.0)}, opts);
+  const LanczosResult top = lanczos_smallest(
+      [&lap](const std::vector<double>& x, std::vector<double>& y) {
+        lap.apply(x, y);
+        for (auto& v : y) v = -v;
+      },
+      n, {}, opts);
+  ASSERT_TRUE(bottom.converged);
+  ASSERT_TRUE(top.converged);
+  EXPECT_NEAR(cert.lambda2_adj, cert.degree - bottom.values[0], 1e-8);
+  EXPECT_NEAR(cert.lambda_min_adj, cert.degree + top.values[0], 1e-8);
 }
 
 TEST(ExpanderCertificate, IrregularGraphRejected) {
