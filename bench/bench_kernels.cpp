@@ -12,6 +12,7 @@
 #include "percolation/percolation.hpp"
 #include "prune/engine.hpp"
 #include "prune/prune2.hpp"
+#include "span/compact_sets.hpp"
 #include "span/span.hpp"
 #include "span/steiner.hpp"
 #include "spectral/fiedler.hpp"
@@ -218,6 +219,42 @@ void BM_SteinerExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SteinerExact)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// The boundary of the first sampled compact set (seeds 1, 2, ...) of
+/// `target` vertices with `want` terminals (0 = any): E8's own shapes.
+std::vector<vid> sampled_boundary(const Graph& g, vid target, vid want) {
+  const VertexSet all = VertexSet::full(g.num_vertices());
+  for (std::uint64_t seed = 1; seed < 10'000; ++seed) {
+    const VertexSet u = sample_compact_set(g, target, seed);
+    if (u.empty()) continue;
+    const VertexSet boundary = node_boundary(g, all, u);
+    if (want == 0 || boundary.count() == want) return boundary.to_vector();
+  }
+  return {};
+}
+
+// E8's largest DW calls: 14-terminal boundaries on hypercube(5).
+void BM_SteinerExactHypercube5(benchmark::State& state) {
+  const Graph g = hypercube(5);
+  const std::vector<vid> terminals = sampled_boundary(g, 11, 14);
+  if (terminals.empty()) state.SkipWithError("no 14-terminal boundary sampled");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(steiner_exact(g, terminals).tree_nodes);
+  }
+}
+BENCHMARK(BM_SteinerExactHypercube5)->Unit(benchmark::kMillisecond);
+
+// E8's largest approximate trees: the boundary of a half-size compact set
+// of hypercube(9).
+void BM_SteinerApproxHypercube9(benchmark::State& state) {
+  const Graph g = hypercube(9);
+  const std::vector<vid> terminals = sampled_boundary(g, 256, 0);
+  state.counters["terminals"] = static_cast<double>(terminals.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(steiner_approx(g, terminals).tree_nodes);
+  }
+}
+BENCHMARK(BM_SteinerApproxHypercube9)->Unit(benchmark::kMillisecond);
 
 // The metrics layer's span_estimate on E8's parameters: sampling, the
 // approximate tree of every candidate, and DW where it can raise σ.

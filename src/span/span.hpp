@@ -9,8 +9,10 @@
 // DW budget allows.  When `exact` is set, every candidate's tree was
 // within the DW budget, so `span` is the exact-tree maximum over the
 // examined sets -- for a sampled estimate, a LOWER bound on σ.  Otherwise
-// some ratios rest on approximate trees, each of which can overshoot by at
-// most 2×, so the estimate lies in [σ_est/2, σ].
+// some ratios rest on approximate trees, each of which only overshoots, by
+// at most 2×: with σ_sampled the exact-tree maximum over the same sets,
+// σ_sampled <= σ_est <= 2σ, and σ_est may exceed σ (it is then no lower
+// bound).
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,12 @@
 // smallest tree connecting every node of Γ(U).
 //
 // Two engines:
-//   * Dreyfus–Wagner dynamic program — exact, O(3^t·n + 2^t·n·m) for t
-//     terminals; used whenever 3^t·n is affordable.
-//   * metric-closure MST — the classic 2-approximation; only ever
-//     *overestimates* the tree size, which keeps sampled span estimates
-//     conservative in the documented direction.
+//   * Dreyfus–Wagner dynamic program rooted at one terminal — exact,
+//     O(3^(t-1)·n + 2^(t-1)·(n + m)) time and 4·2^(t-1)·n bytes for t
+//     terminals; used whenever 3^t·n is within kDreyfusWagnerBudget.
+//   * metric-closure MST — the classic 2-approximation.  It only ever
+//     *overestimates* the tree size, so a ratio on an approximate tree
+//     lies between the exact one and twice it (see span.hpp).
 //
 // span.cpp computes the approximate tree of every candidate set and runs
 // Dreyfus–Wagner only where its result can change the span maximum.
