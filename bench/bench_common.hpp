@@ -1,12 +1,14 @@
 // Shared scaffolding for the experiment benches.
 //
-// Every E*/A* binary regenerates one paper experiment (the E1–E12
-// numbering of reproduce/README.md) or ablation (A1–A4): it prints a
-// header naming the paper claim, then a markdown table whose
-// rows include the paper's predicted quantity next to the measured one.
+// Every A*/S1 binary regenerates one ablation (A1–A4) or the §1.3
+// application study (S1): it prints a header naming the paper claim,
+// then a markdown table whose rows include the paper's predicted
+// quantity next to the measured one.  The paper experiments E1–E12 are
+// campaigns (campaigns/*.json, golden-checked by reproduce/validate.sh),
+// not binaries.
 // All binaries run with no arguments (CI mode: small sizes, seconds of
-// runtime) and accept --scale=N / --trials=N / --samples=N to grow the
-// workloads.  Setting the environment variable FNE_CSV_DIR additionally
+// runtime) and accept --seed=N; A3 also takes --samples=N to grow its
+// workload.  Setting the environment variable FNE_CSV_DIR additionally
 // dumps every printed table as CSV into that directory for plotting.
 //
 // Perf benches additionally accept --json=out.json and emit a
@@ -107,7 +109,6 @@ inline bool write_json_text(const std::string& path, const std::string& encoded)
 /// Machine-readable bench results (see util/json.hpp): top-level scalars
 /// (workload, millis, speedup, threads, pass/fail) plus named arrays of
 /// per-row records, written to the --json=path file.
-using JsonObject = fne::JsonObject;
 using JsonReport = fne::JsonReport;
 
 }  // namespace fne::bench

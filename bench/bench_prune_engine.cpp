@@ -5,7 +5,7 @@
 // maintains them incrementally and (in fast mode) skips eigensolves
 // whenever sweeping the stale Fiedler ordering already exposes a
 // violating set.  This bench times both on the ISSUE's acceptance
-// workload — a 64x64 mesh with 30% random node faults, bench_e1-style —
+// workload — a 64x64 mesh with 30% random node faults —
 // and checks the two correctness contracts:
 //   * deterministic engine output is bit-identical to the reference;
 //   * fast-mode traces replay (verify_prune_trace), i.e. every culled set
@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
   const double fault_p = cli.get_double("faults", 0.3);
   const int trials = static_cast<int>(cli.get_int("trials", 1));
   // Default alpha = the fault-free mesh's straight-cut node expansion
-  // (~2/side), the honest choice per bench_e1; 0.5·alpha as the threshold
+  // (~2/side), a cut the mesh actually has; 0.5·alpha as the threshold
   // keeps Prune in the regime where H stays large and every iteration
   // exercises a full-size cut search.
   const double alpha = cli.get_double("alpha", 2.0 / static_cast<double>(side));

@@ -187,12 +187,6 @@ ScenarioRun ScenarioRunner::run_isolated_deferred(const FaultSpec& fault, int re
   return run_point(lease.engine(), fault, rep, nullptr, /*defer_split_metrics=*/true);
 }
 
-void ScenarioRunner::set_fault(FaultSpec fault) {
-  // Validate the name eagerly so a typo fails at set time, not mid-sweep.
-  (void)FaultModelRegistry::instance().at(fault.name);
-  scenario_.fault = std::move(fault);
-}
-
 std::vector<ScenarioRun> ScenarioRunner::run_chain(const SweepSpec& sweep) const {
   // The whole chain is ONE serial job on ONE lease: point j depends on
   // point j-1, and running it as a unit keeps campaign placement and

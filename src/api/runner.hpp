@@ -146,10 +146,6 @@ class ScenarioRunner {
   [[nodiscard]] MetricRecord compute_metric_request(const ScenarioRun& run,
                                                     std::size_t request_index) const;
 
-  /// Swap the fault process (topology, α/ε and engine state are kept —
-  /// that is the point of the persistent engine).
-  void set_fault(FaultSpec fault);
-
   /// Run a MONOTONE sweep chain (sweep.mode is not consulted): one run
   /// per value at repetition 0's seeds, point j starting from
   /// survivors(j-1) ∩ alive(j), all on ONE freshly leased engine — the

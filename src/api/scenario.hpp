@@ -38,7 +38,8 @@ struct PruneSpec {
   ExpansionKind kind = ExpansionKind::Edge;
   /// Expansion parameter α.  <= 0 means "measure it": the runner brackets
   /// the fault-free graph's expansion once and uses the constructive
-  /// upper bound — the honest α per bench_e1's argument.
+  /// upper bound — a cut the graph actually has, so a theorem's budget
+  /// computed from α stays verifiable.
   double alpha = 0.0;
   /// Threshold factor ε.  <= 0 means the kind's canonical choice:
   /// 1/(2·max_degree) for Edge (Theorem 3.4), 1/2 for Node (k = 2).

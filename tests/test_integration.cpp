@@ -1,6 +1,7 @@
 // End-to-end reproductions of the paper's claims on instances small
-// enough to run inside the unit-test budget; the bench binaries rerun the
-// same pipelines at experiment scale.
+// enough to run inside the unit-test budget; campaigns/*.json rerun the
+// same experiments at campaign scale, golden-checked by
+// reproduce/validate.sh.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -16,9 +17,11 @@
 #include "prune/prune2.hpp"
 #include "prune/verify.hpp"
 #include "span/span.hpp"
+#include "topology/butterfly.hpp"
 #include "topology/chain_expander.hpp"
 #include "topology/classic.hpp"
 #include "topology/mesh.hpp"
+#include "topology/multibutterfly.hpp"
 #include "topology/random_graphs.hpp"
 #include "util/rng.hpp"
 
@@ -170,6 +173,39 @@ TEST(Integration, PrunedComponentKeepsExpansionUnlikeRawLargestComponent) {
   const ExpansionBracket after =
       expansion_bracket(g, pruned.survivors, ExpansionKind::Edge, bopts);
   EXPECT_GT(after.upper, whole.upper * 3.0);  // bottleneck gone
+}
+
+// --------------------------------------------------------------- E11 ----
+TEST(Integration, MultibutterflyOutlastsButterflyUnderTargetedFaults) {
+  // §1.1 (Leighton–Maggs): under f targeted faults the multibutterfly
+  // keeps n - O(f) inputs connected, while the plain butterfly's unique
+  // paths cost it one input per fault.  dims = 5 (and seed 1101, as in
+  // campaigns/e11_multibutterfly.json) is the smallest size at which
+  // every budget below is >= 2, so the butterfly loses some.
+  const vid dims = 5;
+  const vid n_io = vid{1} << dims;
+  const Butterfly bf = butterfly(dims);
+  const Multibutterfly mb = multibutterfly(dims, 2, 1101);
+  VertexSet bf_inputs(bf.graph.num_vertices());
+  VertexSet bf_outputs(bf.graph.num_vertices());
+  for (vid r = 0; r < bf.rows; ++r) {
+    bf_inputs.set(bf.id_of(0, r));
+    bf_outputs.set(bf.id_of(bf.levels - 1, r));
+  }
+  const auto inputs_lost = [&](const Graph& g, const VertexSet& inputs,
+                               const VertexSet& outputs, vid f) {
+    const AttackResult attack = high_degree_attack(g, f);
+    EXPECT_EQ(attack.budget_used, f);
+    const VertexSet alive = VertexSet::full(g.num_vertices()) - attack.faults;
+    return n_io - io_connectivity(g, alive, inputs, outputs).inputs_connected;
+  };
+  for (const vid f : {n_io / 16, n_io / 8, n_io / 4}) {
+    const vid bf_lost = inputs_lost(bf.graph, bf_inputs, bf_outputs, f);
+    const vid mb_lost = inputs_lost(mb.graph, mb.inputs(), mb.outputs(), f);
+    EXPECT_EQ(bf_lost, f) << "f = " << f;
+    EXPECT_LE(mb_lost, f) << "f = " << f;
+    EXPECT_LT(mb_lost, bf_lost) << "f = " << f;
+  }
 }
 
 }  // namespace
