@@ -589,7 +589,8 @@ int run_campaign(const Cli& cli) {
         << " records=" << store->stats().records
         << " corrupt_records=" << report.store.corrupt_records
         << " truncated_bytes=" << report.store.truncated_bytes
-        << " rotated_files=" << report.store.rotated_files << "\n";
+        << " rotated_files=" << report.store.rotated_files
+        << " alpha_measured=" << report.store.alpha_measured << "\n";
   }
   if (cli.has("cache-stats")) {
     // Same stream policy as --store-stats: never corrupt a JSON stdout.

@@ -7,8 +7,9 @@
 #   ./reproduce/validate.sh e6_mesh_span e8_span_conjecture smoke
 #
 # Environment:
-#   REQUIRE_WARM=1   additionally assert zero recomputation (misses=0) --
-#                    i.e. every cell was served from STORE_DIR. Use on a
+#   REQUIRE_WARM=1   additionally assert zero recomputation (misses=0 and
+#                    alpha_measured=0) -- i.e. every cell, and every
+#                    measured alpha, was served from STORE_DIR. Use on a
 #                    second pass to prove the store replays the campaign.
 #   REGEN=1          refresh goldens from the freshly computed payloads
 #                    instead of diffing (use after an intentional payload
@@ -75,7 +76,7 @@ for name in "${EXPERIMENTS[@]}"; do
   fi
 
   if [ "${REQUIRE_WARM:-0}" = "1" ]; then
-    if ! grep -Eq '^store: hits=[0-9]+ misses=0 ' "$OUT_DIR/$name/run.log"; then
+    if ! grep -Eq '^store: hits=[0-9]+ misses=0 .* alpha_measured=0$' "$OUT_DIR/$name/run.log"; then
       echo "--- $name: FAIL (expected a fully warm run, got: $(grep '^store:' "$OUT_DIR/$name/run.log" || echo 'no store line'))" >&2
       failures=$((failures + 1))
       continue

@@ -367,7 +367,8 @@ std::string CampaignReport::to_json(bool include_timing) const {
           .put("bytes_committed", store.bytes_committed)
           .put("corrupt_records", store.corrupt_records)
           .put("truncated_bytes", store.truncated_bytes)
-          .put("rotated_files", store.rotated_files);
+          .put("rotated_files", store.rotated_files)
+          .put("alpha_measured", store.alpha_measured);
       top.put_json("store", store_obj.dump());
     }
   }
@@ -434,14 +435,20 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
     if (entry.sweep.has_value()) check_sweep(entry.scenario, *entry.sweep);
   }
 
-  // Resolve every entry: graph build (cache-shared) and α/ε measurement,
-  // parallelized across entries.  Runner construction is a pure function
-  // of the Scenario, so placement cannot change a bit.
+  // Resolve every entry's graph (cache-shared), parallelized across
+  // entries.  Runner construction is a pure function of the Scenario, so
+  // placement cannot change a bit.  A measured α waits for its first use
+  // (runner()): a store-served plan reads it from an α record instead.
   const std::size_t num_entries = campaign_.entries.size();
   runners_.resize(num_entries);
   ExecutorPool::run(num_entries, threads, [&](std::size_t e) {
     runners_[e] = std::make_unique<ScenarioRunner>(campaign_.entries[e].scenario);
   });
+  alpha_keys_.resize(num_entries);
+  for (std::size_t e = 0; e < num_entries; ++e) {
+    if (runners_[e]->measures_alpha()) alpha_keys_[e] = store_alpha_key(runners_[e]->scenario());
+  }
+  alpha_resolved_.assign(num_entries, 0);
 
   // Flatten the schedule.  A monotone sweep chain is ONE serial cell (its
   // points are order-dependent); everything else is one cell per run.
@@ -542,6 +549,21 @@ std::size_t CampaignPlan::cell_slot(const CampaignJob& job) const {
                               : static_cast<std::size_t>(job.rep);
 }
 
+const ScenarioRunner& CampaignPlan::runner(std::size_t e) const {
+  const ScenarioRunner& runner = *runners_[e];
+  if (alpha_keys_[e].empty()) return runner;
+  // The runner measures α once (siblings wait in alpha()); the first
+  // caller past it counts and commits it, unless attach_store served it.
+  const double alpha = runner.alpha();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (alpha_resolved_[e] == 0) {
+    alpha_resolved_[e] = 1;
+    ++alpha_measured_;
+    if (store_ != nullptr) store_->put(alpha_keys_[e], encode_alpha(alpha));
+  }
+  return runner;
+}
+
 std::size_t CampaignPlan::expected_runs(std::size_t i) const {
   const CampaignJob& job = this->job(i);
   FNE_REQUIRE(job.kind != CampaignJob::Kind::kMetric,
@@ -554,7 +576,7 @@ std::size_t CampaignPlan::expected_runs(std::size_t i) const {
 std::vector<ScenarioRun> CampaignPlan::compute_cell(std::size_t i) const {
   const CampaignJob& job = this->job(i);
   const CampaignEntry& entry = campaign_.entries[job.entry];
-  const ScenarioRunner& runner = *runners_[job.entry];
+  const ScenarioRunner& runner = this->runner(job.entry);
   switch (job.kind) {
     case CampaignJob::Kind::kChain:
       return runner.run_chain(*entry.sweep);
@@ -581,7 +603,7 @@ MetricRecord CampaignPlan::compute_metric(std::size_t i,
   const CampaignJob& job = this->job(i);
   FNE_REQUIRE(job.kind == CampaignJob::Kind::kMetric,
               "campaign plan: compute_metric on a cell job");
-  return runners_[job.entry]->compute_metric_request(parent_run, job.request);
+  return runner(job.entry).compute_metric_request(parent_run, job.request);
 }
 
 ScenarioRun CampaignPlan::parent_run(std::size_t metric_job) const {
@@ -660,6 +682,16 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
   FNE_REQUIRE(store_ == nullptr, "campaign plan: store already attached");
   store_ = &store;
   store_before_ = store.stats();
+  // α records first: a served α is never measured, by any later job.
+  // An absent or unusable record leaves α to runner(), which measures it
+  // at first use and commits it.
+  for (std::size_t e = 0; e < runners_.size(); ++e) {
+    if (alpha_keys_[e].empty()) continue;
+    const std::optional<std::string> payload = store.load(alpha_keys_[e]);
+    const std::optional<double> alpha =
+        payload.has_value() ? decode_alpha(*payload) : std::nullopt;
+    if (alpha.has_value() && runners_[e]->set_measured_alpha(*alpha)) alpha_resolved_[e] = 1;
+  }
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const CampaignJob& job = jobs_[i];
     if (job.kind == CampaignJob::Kind::kMetric || job_done_[i] != 0) continue;
@@ -695,6 +727,9 @@ std::uint64_t CampaignPlan::cells_served() const {
 
 CampaignReport CampaignPlan::finish(int threads, double millis,
                                     const EngineCacheStats& cache_delta) {
+  // Resolve α before locking: an entry no job computed (every cell
+  // store-served) measures it here when no α record served it.
+  for (std::size_t e = 0; e < runners_.size(); ++e) (void)runner(e);
   const std::lock_guard<std::mutex> lock(mutex_);
   FNE_REQUIRE(remaining_ == 0, "campaign plan: finish() before all jobs merged");
   // Per-entry engine stats fold from the runs themselves (run.engine is
@@ -733,6 +768,7 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
     report.store.corrupt_records = store_after.corrupt_records;
     report.store.truncated_bytes = store_after.truncated_bytes;
     report.store.rotated_files = store_after.rotated_files;
+    report.store.alpha_measured = alpha_measured_;
   }
   return report;
 }

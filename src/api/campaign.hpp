@@ -127,6 +127,10 @@ struct CampaignStoreStats {
   std::uint64_t corrupt_records = 0;  ///< checksum-skipped frames (store lifetime)
   std::uint64_t truncated_bytes = 0;  ///< torn-tail bytes dropped at open
   std::uint64_t rotated_files = 0;    ///< foreign/versioned logs moved aside
+  /// Measured-α entries (prune.alpha <= 0) whose α had to be measured
+  /// this run because the store held no usable α record.  Not a cell
+  /// count: hits + misses still add up to the cells.
+  std::uint64_t alpha_measured = 0;
 };
 
 struct CampaignReport {
@@ -171,7 +175,9 @@ struct CampaignJob {
 /// indices, content keys and fingerprint().
 ///
 /// Split of responsibilities:
-///   compute_cell / compute_metric  — pure, lock-free, any thread;
+///   compute_cell / compute_metric  — pure, any thread; the first to
+///     need a measured α that no store served measures it (once per
+///     plan) and commits it to the attached store;
 ///   accept_cell / accept_metric    — synchronized merge, idempotent
 ///     (first write wins; a duplicate or late completion returns false
 ///     and changes nothing), committing completed cells to the attached
@@ -224,9 +230,11 @@ class CampaignPlan {
   [[nodiscard]] bool all_done() const;
 
   /// Attach a store: serve every already-committed cell from disk (their
-  /// metric jobs complete with them) and commit cells as they complete
-  /// from here on.  Returns the number of cells served.  A record that
-  /// fails to decode or has the wrong run count degrades to a miss.
+  /// metric jobs complete with them) and every measured-α entry's α from
+  /// its α record, and commit cells as they complete (and α as it is
+  /// measured) from here on.  Returns the number of cells served.  A
+  /// record that fails to decode or has the wrong run count degrades to
+  /// a miss; an unusable α record degrades to measuring α.
   std::uint64_t attach_store(ResultStore& store);
   [[nodiscard]] std::uint64_t cells_served() const;
   [[nodiscard]] std::uint64_t num_cells() const noexcept { return num_cells_; }
@@ -238,10 +246,14 @@ class CampaignPlan {
 
  private:
   [[nodiscard]] std::size_t cell_slot(const CampaignJob& job) const;
+  /// Entry e's runner with its α resolved: a measured α not served by
+  /// the store is measured here, once, and committed to the store.
+  [[nodiscard]] const ScenarioRunner& runner(std::size_t e) const;
   void commit_locked(std::size_t cell);
 
   Campaign campaign_;
   std::vector<std::unique_ptr<ScenarioRunner>> runners_;
+  std::vector<std::string> alpha_keys_;  ///< per entry; empty unless α is measured
   std::vector<CampaignJob> jobs_;
   std::vector<std::vector<std::size_t>> children_;  ///< cell -> metric jobs
   std::vector<std::vector<ScenarioRun>> results_;   ///< per entry
@@ -252,6 +264,8 @@ class CampaignPlan {
   std::vector<char> job_done_;
   std::vector<std::size_t> missing_metrics_;  ///< per job (cells only)
   std::vector<char> served_;                  ///< cell came from the store
+  mutable std::vector<char> alpha_resolved_;  ///< per entry: α served or measured
+  mutable std::uint64_t alpha_measured_ = 0;  ///< α measured by runner()
   std::size_t remaining_ = 0;
   std::uint64_t served_cells_ = 0;
   ResultStore* store_ = nullptr;
@@ -265,9 +279,9 @@ class CampaignRunner {
   [[nodiscard]] const Campaign& campaign() const noexcept { return campaign_; }
 
   /// Execute every entry's jobs on `threads` ExecutorPool workers.
-  /// Entry construction (graph build, α measurement) is itself
-  /// parallelized across entries.  May be called repeatedly; each call
-  /// reports only its own work.
+  /// Entry construction (graph build) is itself parallelized across
+  /// entries.  May be called repeatedly; each call reports only its own
+  /// work.
   [[nodiscard]] CampaignReport run(int threads = 1);
 
   /// Store-backed execution (DESIGN.md §11).  Every job is keyed

@@ -29,6 +29,10 @@ std::uint64_t scenario_build_seed(const Scenario& scenario) {
   return derive_seed(scenario.seed, 0, 0);
 }
 
+std::uint64_t scenario_alpha_seed(const Scenario& scenario) {
+  return derive_seed(scenario.seed, 1, 0);
+}
+
 double ChurnRunTrace::total_prune_millis() const {
   double total = 0.0;
   for (const ChurnRoundRun& r : rounds) total += r.prune_millis;
@@ -38,7 +42,7 @@ double ChurnRunTrace::total_prune_millis() const {
 ScenarioRunner::ScenarioRunner(Scenario scenario)
     : scenario_(std::move(scenario)),
       graph_(EngineCache::instance().graph(scenario_.topology.name, scenario_.topology.params,
-                                           derive_seed(scenario_.seed, 0, 0))) {
+                                           scenario_build_seed(scenario_))) {
   FNE_REQUIRE(scenario_.repetitions >= 1, "scenario needs >= 1 repetition");
   // Validate metric requests eagerly (names and declared params) so a
   // typo fails at construction, not after the prune work ran.  Names
@@ -54,18 +58,6 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
     }
   }
 
-  alpha_ = scenario_.prune.alpha;
-  if (alpha_ <= 0.0) {
-    // Measure: the constructive upper bound is a real cut of the
-    // fault-free graph, so α is a value the graph actually has.
-    BracketOptions bopts;
-    bopts.exact_limit = scenario_.metrics.bracket_exact_limit;
-    bopts.seed = derive_seed(scenario_.seed, 1, 0);
-    alpha_ = expansion_bracket(*graph_, scenario_.prune.kind, bopts).upper;
-    FNE_REQUIRE(alpha_ > 0.0, "scenario '" + scenario_.name +
-                                  "': measured alpha is 0 (disconnected topology?); "
-                                  "set prune.alpha explicitly");
-  }
   epsilon_ = scenario_.prune.epsilon;
   if (epsilon_ <= 0.0) {
     epsilon_ = scenario_.prune.kind == ExpansionKind::Edge
@@ -74,9 +66,40 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
   }
 }
 
+double ScenarioRunner::alpha() const {
+  if (!measures_alpha()) return scenario_.prune.alpha;
+  const std::lock_guard<std::mutex> lock(alpha_mutex_);
+  if (!alpha_resolved_) {
+    // Measure: the constructive upper bound is a real cut of the
+    // fault-free graph, so α is a value the graph actually has.  A throw
+    // leaves α unresolved, so every caller measures and throws.
+    BracketOptions bopts;
+    bopts.exact_limit = scenario_.metrics.bracket_exact_limit;
+    bopts.seed = scenario_alpha_seed(scenario_);
+    const double measured = expansion_bracket(*graph_, scenario_.prune.kind, bopts).upper;
+    FNE_REQUIRE(measured > 0.0, "scenario '" + scenario_.name +
+                                    "': measured alpha is 0 (disconnected topology?); "
+                                    "set prune.alpha explicitly");
+    alpha_ = measured;
+    alpha_resolved_ = true;
+  }
+  return alpha_;
+}
+
+bool ScenarioRunner::set_measured_alpha(double alpha) {
+  FNE_REQUIRE(measures_alpha() && alpha > 0.0,
+              "scenario '" + scenario_.name + "': a supplied alpha needs prune.alpha <= 0 "
+              "and a value > 0");
+  const std::lock_guard<std::mutex> lock(alpha_mutex_);
+  if (alpha_resolved_) return false;
+  alpha_ = alpha;
+  alpha_resolved_ = true;
+  return true;
+}
+
 EngineLease ScenarioRunner::lease_engine() const {
   return EngineCache::instance().lease(scenario_.topology.name, scenario_.topology.params,
-                                       derive_seed(scenario_.seed, 0, 0),
+                                       scenario_build_seed(scenario_),
                                        scenario_.prune.kind);
 }
 
@@ -139,7 +162,7 @@ MetricRecord ScenarioRunner::compute_metric_request(const ScenarioRun& run,
   FNE_REQUIRE(request_index < requests.size(),
               "scenario '" + scenario_.name + "': metric request index out of range");
   const MetricRequest& request = requests[request_index];
-  const MetricContext ctx{*graph_,  scenario_, run, alpha_, epsilon_,
+  const MetricContext ctx{*graph_,  scenario_, run, alpha(), epsilon_,
                           derive_seed(scenario_.seed, 6 + request_index,
                                       static_cast<std::uint64_t>(run.repetition))};
   return MetricsRegistry::instance().compute(request.name, ctx, request.params);
@@ -158,7 +181,7 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   // restricted to this point's mask; run.alive records the actual engine
   // input so verify_prune_trace certifies the run as usual.
   run.alive = chain_start == nullptr ? std::move(model) : (*chain_start & model);
-  run.threshold = alpha_ * epsilon_;
+  run.threshold = alpha() * epsilon_;
   run.finder_seed = derive_seed(scenario_.seed, 4, static_cast<std::uint64_t>(rep));
 
   // Snapshot the engine's counters around the run: run.engine is the
@@ -166,7 +189,7 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   // lease, per-job lease, monotone chain point) drove it.
   const EngineStats before = engine.stats();
   Timer timer;
-  run.prune = engine.run(run.alive, alpha_, epsilon_, engine_options(run.finder_seed));
+  run.prune = engine.run(run.alive, alpha(), epsilon_, engine_options(run.finder_seed));
   run.millis = timer.millis();
   run.engine = engine.stats() - before;
   measure(run, defer_split_metrics);
@@ -220,7 +243,7 @@ ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
     round.finder_seed = derive_seed(scenario_.seed, 5, static_cast<std::uint64_t>(t));
     Timer timer;
     const PruneResult pruned =
-        engine.run(process.alive(), alpha_, epsilon_, engine_options(round.finder_seed));
+        engine.run(process.alive(), alpha(), epsilon_, engine_options(round.finder_seed));
     round.prune_millis = timer.millis();
     round.survivors = pruned.survivors.count();
     round.culled = pruned.total_culled;

@@ -1,8 +1,11 @@
 // fne::ScenarioRunner — the per-job units of Scenario execution
 // (DESIGN.md §6, §8).
 //
-// A runner is bound to one Scenario: it resolves α/ε once and reads its
-// graph and engines from the process-wide EngineCache (api/executor.hpp).
+// A runner is bound to one Scenario: it resolves ε at construction and
+// α at first use (a measured α costs an expansion_bracket of the
+// fault-free graph, which a store-served campaign never needs), and it
+// reads its graph and engines from the process-wide EngineCache
+// (api/executor.hpp).
 // It schedules nothing itself — CampaignPlan (api/campaign.hpp) is the
 // one scheduler, and every batch (repetitions, sweeps, ad-hoc CLI runs)
 // is a campaign whose cells call the units below.  The runner owns one
@@ -35,6 +38,7 @@
 // bench_s4_campaign parity-check that in deterministic mode.
 #pragma once
 
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -100,6 +104,9 @@ struct ChurnRunTrace {
 /// (domain-0 splitmix64 stream).  Exposed for the result store's content
 /// keys (store/key.hpp), which name the build seed explicitly.
 [[nodiscard]] std::uint64_t scenario_build_seed(const Scenario& scenario);
+/// The expansion_bracket seed a runner measures α with (domain-1
+/// stream), named by the result store's α keys (store/key.hpp).
+[[nodiscard]] std::uint64_t scenario_alpha_seed(const Scenario& scenario);
 
 struct SweepSpec;  // api/campaign.hpp
 
@@ -109,8 +116,20 @@ class ScenarioRunner {
 
   [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
   [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
+  /// α every unit prunes with: prune.alpha when > 0, else the
+  /// fault-free graph's measured expansion (constructive bracket upper
+  /// bound), measured once, on first call, from any thread (concurrent
+  /// first callers wait for that one measurement).  A measured α of 0
+  /// (disconnected topology) throws PreconditionError naming the
+  /// scenario, here and at every later call.
+  [[nodiscard]] double alpha() const;
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
+  /// True when alpha() measures (prune.alpha <= 0).
+  [[nodiscard]] bool measures_alpha() const noexcept { return scenario_.prune.alpha <= 0.0; }
+  /// Supply the measured α from elsewhere (the campaign's result store)
+  /// so alpha() never measures.  Only for measuring runners and α > 0;
+  /// returns false, changing nothing, when α was already resolved.
+  bool set_measured_alpha(double alpha);
 
   /// Work accrued on the runner's PRIMARY engine lease (run_once,
   /// run_churn).  Deltas since the lease was taken, so a cache-served
@@ -177,7 +196,12 @@ class ScenarioRunner {
 
   Scenario scenario_;
   std::shared_ptr<const Graph> graph_;
-  double alpha_ = 0.0;
+  // A mutex, not std::call_once: libstdc++'s call_once can leave the
+  // other waiters blocked for good when the callable throws, and the
+  // measurement throws on a disconnected topology.
+  mutable std::mutex alpha_mutex_;
+  mutable bool alpha_resolved_ = false;  ///< measured or supplied (measuring runners)
+  mutable double alpha_ = 0.0;
   double epsilon_ = 0.0;
   EngineLease primary_;  ///< leased lazily; held for the runner's lifetime
 };

@@ -52,26 +52,33 @@ void append_metrics(std::string& key, const MetricsSpec& metrics) {
   }
 }
 
-}  // namespace
-
-std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
-                           int rep, const SweepSpec* monotone) {
-  std::string key = "fne-cell|schema=1";
+/// The fault-free graph: topology, params, cache salt and build seed.
+void append_graph(std::string& key, const Scenario& scenario) {
   key += "|topo=" + scenario.topology.name;
   key += "|topo_params=" + scenario.topology.params.to_string();
   // Entries whose build output depends on state beyond the params (the
   // `file` topology's on-disk bytes) declare a cache_salt.  The store
   // outlives the process, so folding the salt in matters even more here
   // than in the EngineCache: without it, rewriting a .csr in place would
-  // resume a campaign from cells computed on the OLD graph.
+  // resume a campaign from records computed on the OLD graph.
   const std::string topo_salt =
       topology_cache_salt(scenario.topology.name, scenario.topology.params);
   if (!topo_salt.empty()) key += "|topo_salt=" + topo_salt;
   key += "|build_seed=" + std::to_string(scenario_build_seed(scenario));
+}
+
+const char* kind_name(ExpansionKind kind) { return kind == ExpansionKind::Node ? "node" : "edge"; }
+
+}  // namespace
+
+std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
+                           int rep, const SweepSpec* monotone) {
+  std::string key = "fne-cell|schema=1";
+  append_graph(key, scenario);
   key += "|fault=" + effective_fault.name;
   key += "|fault_params=" + effective_fault.params.to_string();
   key += "|kind=";
-  key += scenario.prune.kind == ExpansionKind::Node ? "node" : "edge";
+  key += kind_name(scenario.prune.kind);
   key += "|alpha=" + hexf(scenario.prune.alpha);
   key += "|epsilon=" + hexf(scenario.prune.epsilon);
   key += "|fast=" + std::to_string(scenario.prune.fast ? 1 : 0);
@@ -89,6 +96,16 @@ std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_
       key += hexf(v);
     }
   }
+  return key;
+}
+
+std::string store_alpha_key(const Scenario& scenario) {
+  std::string key = "fne-alpha|schema=1";
+  append_graph(key, scenario);
+  key += "|kind=";
+  key += kind_name(scenario.prune.kind);
+  key += "|bx=" + std::to_string(scenario.metrics.bracket_exact_limit);
+  key += "|bracket_seed=" + std::to_string(scenario_alpha_seed(scenario));
   return key;
 }
 

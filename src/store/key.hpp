@@ -33,4 +33,11 @@ struct SweepSpec;
                                          const FaultSpec& effective_fault, int rep,
                                          const SweepSpec* monotone = nullptr);
 
+/// The key of a scenario's measured-α record (DESIGN.md §11): everything
+/// ScenarioRunner::alpha() measures from — the fault-free graph (topology,
+/// params, cache salt, build seed), the kind, the bracket's exact-search
+/// limit and its seed — and nothing it does not, so every entry of every
+/// campaign measuring on one graph shares one record.
+[[nodiscard]] std::string store_alpha_key(const Scenario& scenario);
+
 }  // namespace fne

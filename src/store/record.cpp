@@ -1,5 +1,8 @@
 #include "store/record.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 #include "store/codec.hpp"
@@ -152,6 +155,26 @@ std::optional<std::vector<ScenarioRun>> decode_runs(std::string_view payload) {
   // Trailing garbage means the record is not what the encoder wrote.
   if (!r.at_end()) return std::nullopt;
   return runs;
+}
+
+std::string encode_alpha(double alpha) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", alpha);
+  return buf;
+}
+
+std::optional<double> decode_alpha(std::string_view payload) {
+  if (payload.empty() || payload.size() >= 48) return std::nullopt;
+  const std::string text(payload);  // strtod needs the terminator
+  char* end = nullptr;
+  const double alpha = std::strtod(text.c_str(), &end);
+  // Canonical only: re-encoding must give the payload back, which also
+  // rejects leading blanks, decimal spellings and trailing bytes.
+  if (end != text.c_str() + text.size() || !std::isfinite(alpha) || alpha <= 0.0 ||
+      encode_alpha(alpha) != payload) {
+    return std::nullopt;
+  }
+  return alpha;
 }
 
 }  // namespace fne

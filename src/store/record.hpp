@@ -41,4 +41,11 @@ inline constexpr std::uint32_t kCellRecordFormat = 1;
 [[nodiscard]] std::string encode_runs(std::span<const ScenarioRun> runs);
 [[nodiscard]] std::optional<std::vector<ScenarioRun>> decode_runs(std::string_view payload);
 
+/// A measured-α record (store/key.hpp store_alpha_key) holds α's exact
+/// bits as "%a" hexfloat text.  decode_alpha is total: it returns nullopt
+/// unless the payload is exactly what encode_alpha writes for some finite
+/// α > 0, so a damaged record degrades to measuring α again.
+[[nodiscard]] std::string encode_alpha(double alpha);
+[[nodiscard]] std::optional<double> decode_alpha(std::string_view payload);
+
 }  // namespace fne

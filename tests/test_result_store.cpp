@@ -5,19 +5,27 @@
 // tail rescans, and the campaign-level story — the deterministic payload
 // is byte-identical for disabled / cold / warm / mixed store state at
 // any thread count, and a killed-then-resumed campaign recomputes only
-// the missing cells.
+// the missing cells.  Measured-α records: served with their exact bits,
+// keyed by every input α depends on, written once per plan, and every
+// unusable record degrades to measuring α again.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "api/campaign.hpp"
 #include "api/runner.hpp"
+#include "core/csr_file.hpp"
+#include "core/graph.hpp"
 #include "store/key.hpp"
 #include "store/record.hpp"
 #include "store/result_store.hpp"
+#include "util/require.hpp"
 
 namespace fne {
 namespace {
@@ -332,6 +340,8 @@ TEST(ResultStore, TwoStoresOnOneDirectoryDedupViaRefresh) {
 }
 
 constexpr std::uint64_t kStoreCampaignJobs = 6;  // 3 reps + 1 chain + 2 points
+// "reps" and "points" leave prune.alpha at 0, so each adds one α record.
+constexpr std::uint64_t kStoreCampaignAlphaRecords = 2;
 
 TEST(CampaignStore, PayloadIsByteIdenticalDisabledColdWarmAtAnyThreadCount) {
   const std::string dir = fresh_dir("campaign-payload");
@@ -406,7 +416,8 @@ TEST(CampaignStore, KilledCampaignResumesRecomputingOnlyMissingCells) {
   write_file(log_of(dir), bytes.substr(0, bytes.size() - 7));
 
   ResultStore store(dir);
-  EXPECT_EQ(store.stats().records, kStoreCampaignJobs - 1u);
+  EXPECT_EQ(store.stats().records, kStoreCampaignJobs - 1u + kStoreCampaignAlphaRecords)
+      << "every cell but the torn one, plus both alpha records";
   const CampaignReport resumed = runner.run(2, &store);
   EXPECT_EQ(resumed.store.hits, kStoreCampaignJobs - 1u)
       << "every previously committed cell must be served from the store";
@@ -451,6 +462,215 @@ TEST(CampaignStore, TwoRunnersOnOneStoreDirDedup) {
   EXPECT_EQ(via_b.store.hits, kStoreCampaignJobs);
   EXPECT_EQ(via_b.store.misses, 0u);
   EXPECT_EQ(via_b.to_json(false), payload);
+}
+
+// ---------------------------------------------------------------------------
+// Measured-α records
+// ---------------------------------------------------------------------------
+
+/// One entry that measures α (prune.alpha = 0) over `repetitions` cells.
+[[nodiscard]] Campaign alpha_campaign(int repetitions) {
+  Campaign campaign;
+  campaign.name = "store-alpha";
+  Scenario s;
+  s.name = "measured";
+  s.topology = {"hypercube", Params{{"dims", "6"}}};
+  s.fault = {"random", Params{{"p", "0.1"}}};
+  s.prune.kind = ExpansionKind::Node;
+  s.repetitions = repetitions;
+  s.seed = 91;
+  campaign.entries.push_back({s, std::nullopt});
+  return campaign;
+}
+
+TEST(CellRecord, AlphaPayloadRoundTripsExactBitsAndDecodeIsTotal) {
+  for (const double alpha : {0.125, 1.0 / 3.0, std::nextafter(0.25, 1.0), 1e-300, 4.9e-324}) {
+    const auto decoded = decode_alpha(encode_alpha(alpha));
+    ASSERT_TRUE(decoded.has_value()) << encode_alpha(alpha);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*decoded), std::bit_cast<std::uint64_t>(alpha));
+  }
+  for (const char* bad : {"", "garbage", "0x0p+0", "-0x1p-2", "0x1p-2 ", " 0x1p-2", "0x1p-2x",
+                          "0.25", "inf", "nan", "0x1p+2000"}) {
+    EXPECT_FALSE(decode_alpha(bad).has_value()) << "'" << bad << "' must not decode";
+  }
+}
+
+TEST(CellKey, AlphaKeyNamesEveryInputAlphaDependsOnAndNoOther) {
+  Scenario s = small_scenario();
+  s.prune.alpha = 0.0;
+  const std::string key = store_alpha_key(s);
+  EXPECT_EQ(key.find("fne-alpha|schema=1|"), 0u);
+  EXPECT_EQ(key, store_alpha_key(s)) << "keys are deterministic";
+  EXPECT_NE(key.find("|build_seed=" + std::to_string(scenario_build_seed(s)) + "|"),
+            std::string::npos);
+  EXPECT_NE(key.find("|bracket_seed=" + std::to_string(scenario_alpha_seed(s))),
+            std::string::npos);
+
+  // Each input α is measured from changes the key, and no two collide.
+  std::vector<Scenario> changed(5, s);
+  changed[0].topology.name = "torus";
+  changed[1].topology.params.set("side", std::string("11"));
+  changed[2].seed = 405;  // moves both the build seed and the bracket seed
+  changed[3].prune.kind = ExpansionKind::Node;
+  changed[4].metrics.bracket_exact_limit = 10;
+  std::vector<std::string> keys{key};
+  for (const Scenario& c : changed) keys.push_back(store_alpha_key(c));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+  }
+
+  // Inputs the fault-free measurement never reads share one record.
+  Scenario same = s;
+  same.name = "another-entry";
+  same.fault.params.set("p", 0.3);
+  same.prune.epsilon = 0.25;
+  same.prune.fast = true;
+  same.repetitions = 7;
+  same.metrics.expansion = false;
+  same.metrics.verify_trace = false;
+  EXPECT_EQ(store_alpha_key(same), key);
+  EXPECT_NE(store_cell_key(s, s.fault, 0), key) << "alpha and cell keys never meet";
+
+  // Rewriting a file topology's CSR in place changes the key (the salt).
+  const std::string path = (fs::path(::testing::TempDir()) / "fne_store_alpha_key.csr").string();
+  CsrFile::write(path, Graph::from_edges(8, {{0, 1}, {1, 2}}));
+  Scenario file = s;
+  file.topology = {"file", Params{{"path", path}}};
+  const std::string file_key = store_alpha_key(file);
+  EXPECT_NE(file_key.find("|topo_salt=" + path + "#"), std::string::npos);
+  CsrFile::write(path, Graph::from_edges(8, {{0, 1}, {1, 2}, {2, 3}}));
+  EXPECT_NE(store_alpha_key(file), file_key) << "a rewritten graph must not reuse its alpha";
+}
+
+TEST(CampaignStore, PlantedAlphaRecordIsServedWithItsExactBits) {
+  const Campaign campaign = alpha_campaign(2);
+  const Scenario& s = campaign.entries[0].scenario;
+  const double measured = CampaignRunner(campaign).run(1).scenarios[0].alpha;
+  // One ulp above the measured value: only the record can have said it.
+  const double planted = std::nextafter(measured, 1.0);
+
+  ResultStore store(fresh_dir("alpha-planted"));
+  store.put(store_alpha_key(s), encode_alpha(planted));
+  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(report.store.alpha_measured, 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(report.scenarios[0].alpha),
+            std::bit_cast<std::uint64_t>(planted));
+  for (const ScenarioRun& run : report.scenarios[0].runs) {
+    EXPECT_EQ(run.threshold, planted * report.scenarios[0].epsilon)
+        << "the cells prune with the served alpha";
+  }
+  EXPECT_EQ(store.stats().records, 3u) << "two cells; the planted record is not rewritten";
+}
+
+TEST(CampaignStore, UnusableAlphaRecordsFallBackToMeasuring) {
+  const Campaign campaign = alpha_campaign(2);
+  const std::string reference = CampaignRunner(campaign).run(1).to_json(false);
+  const std::string key = store_alpha_key(campaign.entries[0].scenario);
+  int i = 0;
+  for (const char* bad : {"", "garbage", "0x0p+0", "-0x1p-3", "0.25", "nan", "0x1p-3 "}) {
+    SCOPED_TRACE(bad);
+    ResultStore store(fresh_dir("alpha-unusable-" + std::to_string(i++)));
+    store.put(key, bad);
+    const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+    EXPECT_EQ(report.store.alpha_measured, 1u);
+    EXPECT_EQ(report.to_json(false), reference);
+  }
+}
+
+TEST(CampaignStore, CorruptAlphaRecordIsMeasuredAgainWhenEveryCellIsServed) {
+  const Campaign campaign = alpha_campaign(2);
+  const Scenario& s = campaign.entries[0].scenario;
+  const std::string dir = fresh_dir("alpha-corrupt");
+  std::string payload;
+  double alpha = 0.0;
+  {
+    ResultStore store(dir);
+    const CampaignReport cold = CampaignRunner(campaign).run(1, &store);
+    payload = cold.to_json(false);
+    alpha = cold.scenarios[0].alpha;
+  }
+  // At one thread the α record is the first frame (measured before the
+  // first cell commits): flip its payload's last byte.
+  const std::string key = store_alpha_key(s);
+  const std::size_t alpha_len = encode_alpha(alpha).size();
+  std::string bytes = read_file(log_of(dir));
+  const std::size_t flip = 16 + 24 + key.size() + alpha_len - 1;
+  ASSERT_EQ(bytes.compare(16 + 24, key.size(), key), 0) << "alpha record is not the first frame";
+  bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5A);
+  write_file(log_of(dir), bytes);
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().corrupt_records, 1u);
+  const CampaignReport served = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(served.store.hits, 2u);
+  EXPECT_EQ(served.store.misses, 0u);
+  EXPECT_EQ(served.store.alpha_measured, 1u) << "finish() measures the alpha no record served";
+  EXPECT_EQ(served.to_json(false), payload);
+  const CampaignReport healed = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(healed.store.alpha_measured, 0u) << "the remeasured alpha was committed";
+  EXPECT_EQ(healed.to_json(false), payload);
+}
+
+TEST(CampaignStore, ExplicitAlphaEntriesWriteNoAlphaRecord) {
+  Campaign campaign = alpha_campaign(3);
+  campaign.entries[0].scenario.prune.alpha = 0.25;
+  ResultStore store(fresh_dir("alpha-explicit"));
+  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(report.store.alpha_measured, 0u);
+  EXPECT_EQ(store.stats().records, 3u) << "the three cells only";
+  EXPECT_FALSE(store.contains(store_alpha_key(campaign.entries[0].scenario)));
+}
+
+TEST(CampaignStore, ConcurrentRepetitionsOfAMeasuringEntryWriteOneAlphaRecord) {
+  const Campaign campaign = alpha_campaign(6);
+  const std::string storeless = CampaignRunner(campaign).run(2).to_json(false);
+  ResultStore serial_store(fresh_dir("alpha-serial"));
+  const std::string serial = CampaignRunner(campaign).run(1, &serial_store).to_json(false);
+  EXPECT_EQ(serial, storeless);
+
+  ResultStore store(fresh_dir("alpha-concurrent"));
+  const CampaignReport cold = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(cold.store.misses, 6u);
+  EXPECT_EQ(cold.store.alpha_measured, 1u) << "six cells on two threads measure alpha once";
+  EXPECT_EQ(store.stats().records, 7u) << "six cells and one alpha record";
+  EXPECT_TRUE(store.contains(store_alpha_key(campaign.entries[0].scenario)));
+  EXPECT_EQ(cold.to_json(false), serial);
+
+  const CampaignReport warm = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(warm.store.hits, 6u);
+  EXPECT_EQ(warm.store.alpha_measured, 0u);
+  EXPECT_EQ(store.stats().records, 7u);
+  EXPECT_EQ(warm.to_json(false), serial);
+}
+
+TEST(CampaignStore, DisconnectedTopologyStillNeedsAnExplicitAlpha) {
+  // The mini_p2p fixture has 6 components, so its measured α is 0.
+  Campaign campaign;
+  campaign.name = "disconnected";
+  Scenario s;
+  s.name = "mini-p2p-measured";
+  s.topology = {"file", Params{{"path", std::string(FNE_REPO_DIR) + "/tests/data/mini_p2p.csr"}}};
+  s.fault = {"random", Params{{"p", "0.25"}}};
+  s.prune.kind = ExpansionKind::Edge;
+  s.repetitions = 3;
+  s.seed = 1404;
+  campaign.entries.push_back({s, std::nullopt});
+
+  const auto expect_alpha_error = [&](ResultStore* store) {
+    try {
+      (void)CampaignRunner(campaign).run(2, store);
+      ADD_FAILURE() << "a measured alpha of 0 must fail the run";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'mini-p2p-measured'"), std::string::npos) << what;
+      EXPECT_NE(what.find("set prune.alpha explicitly"), std::string::npos) << what;
+    }
+  };
+  expect_alpha_error(nullptr);
+  ResultStore store(fresh_dir("alpha-disconnected"));
+  expect_alpha_error(&store);
+  EXPECT_EQ(store.stats().records, 0u) << "no cell and no alpha record";
+  EXPECT_FALSE(store.contains(store_alpha_key(s)));
 }
 
 }  // namespace
