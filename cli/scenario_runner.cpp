@@ -36,7 +36,9 @@
 //       misses are computed and committed.  --resume is --store with the
 //       default directory .fne-store — rerun a killed campaign and only
 //       the missing cells recompute.  --store-stats prints the hit/miss
-//       split afterwards.  --payload=FILE writes the DETERMINISTIC
+//       split, the α measurements and the graph builds afterwards
+//       (a fully warm run reports misses=0, alpha_measured=0 and
+//       graph_builds=0).  --payload=FILE writes the DETERMINISTIC
 //       report payload (to_json(false)) for golden comparisons
 //       (reproduce/validate.sh).  Ad-hoc runs take all four too.
 //   scenario_runner --scenario=can-churn --churn-steps=40
@@ -59,9 +61,11 @@
 //       worker mode: pull jobs from a coordinator serving the SAME
 //       campaign file (checked via plan fingerprint at handshake),
 //       compute them on this process's engine cache, stream results
-//       back.  Exit 0 after the coordinator reports the campaign done
-//       (or is gone), 1 if it was never reachable, 2 on campaign
-//       mismatch.  Workers may be killed and restarted at any time.
+//       back.  Result-shaping flags and --threads belong on the
+//       coordinator and are rejected here.  Exit 0 after the
+//       coordinator reports the campaign done (or is gone), 1 if it was
+//       never reachable, 2 on campaign mismatch.  Workers may be killed
+//       and restarted at any time.
 //   scenario_runner --daemon[=PORT] [--bind=HOST] [--service-workers=N]
 //       [--queue-depth=D] [--queue-deadline-ms=MS] [--max-request-bytes=B]
 //       [--cache-budget=MB] [--port-file=PATH]
@@ -210,8 +214,8 @@ void list_registries() {
 /// campaign.  The worker has no report of its own beyond a summary line;
 /// all result-shaping flags belong on the coordinator.
 int run_worker(const Cli& cli, Campaign campaign) {
-  for (const char* flag : {"serve", "workers", "store", "resume", "store-stats", "payload",
-                           "json", "csv", "stats"}) {
+  for (const char* flag : {"serve", "workers", "threads", "store", "resume", "store-stats",
+                           "payload", "json", "csv", "stats"}) {
     FNE_REQUIRE(!cli.has(flag),
                 std::string("--") + flag + " does not apply to --connect (worker mode)");
   }
@@ -226,7 +230,6 @@ int run_worker(const Cli& cli, Campaign campaign) {
     opts.port = parse_port(target.substr(colon + 1), "--connect");
   }
   opts.name = cli.get("worker-name", opts.name);
-  opts.plan_threads = cli.get_threads(1);
   opts.connect_attempts = static_cast<int>(cli.get_int("connect-attempts", opts.connect_attempts));
 
   DistWorker worker(std::move(campaign), opts);
@@ -590,7 +593,8 @@ int run_campaign(const Cli& cli) {
         << " corrupt_records=" << report.store.corrupt_records
         << " truncated_bytes=" << report.store.truncated_bytes
         << " rotated_files=" << report.store.rotated_files
-        << " alpha_measured=" << report.store.alpha_measured << "\n";
+        << " alpha_measured=" << report.store.alpha_measured
+        << " graph_builds=" << report.cache.graph_builds << "\n";
   }
   if (cli.has("cache-stats")) {
     // Same stream policy as --store-stats: never corrupt a JSON stdout.

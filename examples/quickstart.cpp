@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
   scenario.metrics.expansion = true;           // bracket the survivor's expansion
   scenario.seed = cli.get_seed();
 
-  // 2. Bind a runner.  It builds the graph once, resolves alpha (the
-  //    measured edge expansion of the fault-free mesh — a real cut, so a
-  //    value the graph actually has) and epsilon (Theorem 3.4's
-  //    1/(2*max_degree)), and owns one PruneEngine whose workspace will
-  //    be reused by every run below.
+  // 2. Bind a runner.  At first use it builds the graph once and
+  //    resolves alpha (the measured edge expansion of the fault-free
+  //    mesh — a real cut, so a value the graph actually has) and epsilon
+  //    (Theorem 3.4's 1/(2*max_degree)), and it owns one PruneEngine
+  //    whose workspace will be reused by every run below.
   ScenarioRunner runner(scenario);
   std::cout << "network: " << runner.graph().summary() << "\n"
             << "alpha_e = " << runner.alpha() << ", eps = " << runner.epsilon()

@@ -304,6 +304,20 @@ void check_sweep(const Scenario& scenario, const SweepSpec& sweep) {
   return campaign;
 }
 
+/// Two consecutive cache deltas as one: the counters add up and the
+/// gauges are the later delta's (the later snapshot's values).
+[[nodiscard]] EngineCacheStats followed_by(EngineCacheStats first, const EngineCacheStats& later) {
+  first.leases += later.leases;
+  first.engine_hits += later.engine_hits;
+  first.engine_builds += later.engine_builds;
+  first.graph_hits += later.graph_hits;
+  first.graph_builds += later.graph_builds;
+  first.evictions += later.evictions;
+  first.bytes_resident = later.bytes_resident;
+  first.peak_bytes = later.peak_bytes;
+  return first;
+}
+
 }  // namespace
 
 Campaign campaign_from_json(const std::string& text) {
@@ -435,20 +449,26 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
     if (entry.sweep.has_value()) check_sweep(entry.scenario, *entry.sweep);
   }
 
-  // Resolve every entry's graph (cache-shared), parallelized across
-  // entries.  Runner construction is a pure function of the Scenario, so
-  // placement cannot change a bit.  A measured α waits for its first use
-  // (runner()): a store-served plan reads it from an α record instead.
+  // One runner per entry, serially: a runner leases its graph, measures
+  // α and reads the max degree at first use (runner()), so construction
+  // builds nothing, and a store-served plan reads α and the max degree
+  // from their records instead.  The registry's vertex-count contract
+  // gives n without a build (and validates the topology params early).
   const std::size_t num_entries = campaign_.entries.size();
-  runners_.resize(num_entries);
-  ExecutorPool::run(num_entries, threads, [&](std::size_t e) {
-    runners_[e] = std::make_unique<ScenarioRunner>(campaign_.entries[e].scenario);
-  });
+  runners_.reserve(num_entries);
   alpha_keys_.resize(num_entries);
+  graph_keys_.resize(num_entries);
+  sizes_.reserve(num_entries);
   for (std::size_t e = 0; e < num_entries; ++e) {
-    if (runners_[e]->measures_alpha()) alpha_keys_[e] = store_alpha_key(runners_[e]->scenario());
+    const Scenario& scenario = campaign_.entries[e].scenario;
+    runners_.push_back(std::make_unique<ScenarioRunner>(scenario));
+    sizes_.push_back(
+        TopologyRegistry::instance().expected_n(scenario.topology.name, scenario.topology.params));
+    if (runners_[e]->measures_alpha()) alpha_keys_[e] = store_alpha_key(scenario);
+    if (runners_[e]->needs_max_degree()) graph_keys_[e] = store_graph_key(scenario);
   }
   alpha_resolved_.assign(num_entries, 0);
+  degree_resolved_.assign(num_entries, 0);
 
   // Flatten the schedule.  A monotone sweep chain is ONE serial cell (its
   // points are order-dependent); everything else is one cell per run.
@@ -551,15 +571,23 @@ std::size_t CampaignPlan::cell_slot(const CampaignJob& job) const {
 
 const ScenarioRunner& CampaignPlan::runner(std::size_t e) const {
   const ScenarioRunner& runner = *runners_[e];
-  if (alpha_keys_[e].empty()) return runner;
-  // The runner measures α once (siblings wait in alpha()); the first
-  // caller past it counts and commits it, unless attach_store served it.
-  const double alpha = runner.alpha();
+  const bool measures = !alpha_keys_[e].empty();
+  const bool reads_degree = !graph_keys_[e].empty();
+  if (!measures && !reads_degree) return runner;
+  // The runner measures α and reads the max degree once each (siblings
+  // wait inside); the first caller past them counts and commits what
+  // attach_store did not serve.
+  const double alpha = measures ? runner.alpha() : 0.0;
+  const vid max_degree = reads_degree ? runner.max_degree() : 0;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (alpha_resolved_[e] == 0) {
+  if (measures && alpha_resolved_[e] == 0) {
     alpha_resolved_[e] = 1;
     ++alpha_measured_;
     if (store_ != nullptr) store_->put(alpha_keys_[e], encode_alpha(alpha));
+  }
+  if (reads_degree && degree_resolved_[e] == 0) {
+    degree_resolved_[e] = 1;
+    if (store_ != nullptr) store_->put(graph_keys_[e], encode_max_degree(max_degree));
   }
   return runner;
 }
@@ -682,15 +710,25 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
   FNE_REQUIRE(store_ == nullptr, "campaign plan: store already attached");
   store_ = &store;
   store_before_ = store.stats();
-  // α records first: a served α is never measured, by any later job.
-  // An absent or unusable record leaves α to runner(), which measures it
-  // at first use and commits it.
+  // α and graph records first: a served α is never measured and a served
+  // max degree never leases the graph, by any later job.  An absent or
+  // unusable record leaves them to runner(), which resolves them at first
+  // use and commits them.
   for (std::size_t e = 0; e < runners_.size(); ++e) {
-    if (alpha_keys_[e].empty()) continue;
-    const std::optional<std::string> payload = store.load(alpha_keys_[e]);
-    const std::optional<double> alpha =
-        payload.has_value() ? decode_alpha(*payload) : std::nullopt;
-    if (alpha.has_value() && runners_[e]->set_measured_alpha(*alpha)) alpha_resolved_[e] = 1;
+    if (!alpha_keys_[e].empty()) {
+      const std::optional<std::string> payload = store.load(alpha_keys_[e]);
+      const std::optional<double> alpha =
+          payload.has_value() ? decode_alpha(*payload) : std::nullopt;
+      if (alpha.has_value() && runners_[e]->set_measured_alpha(*alpha)) alpha_resolved_[e] = 1;
+    }
+    if (!graph_keys_[e].empty()) {
+      const std::optional<std::string> payload = store.load(graph_keys_[e]);
+      const std::optional<vid> max_degree =
+          payload.has_value() ? decode_max_degree(*payload) : std::nullopt;
+      if (max_degree.has_value() && runners_[e]->set_max_degree(*max_degree)) {
+        degree_resolved_[e] = 1;
+      }
+    }
   }
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const CampaignJob& job = jobs_[i];
@@ -727,9 +765,13 @@ std::uint64_t CampaignPlan::cells_served() const {
 
 CampaignReport CampaignPlan::finish(int threads, double millis,
                                     const EngineCacheStats& cache_delta) {
-  // Resolve α before locking: an entry no job computed (every cell
-  // store-served) measures it here when no α record served it.
+  // Resolve α and ε before locking: an entry no job computed (every cell
+  // store-served) measures α or leases its graph here only when no record
+  // served it.  That lease is cache work of this run, which the caller's
+  // delta (taken before this call) cannot include, so it is added below.
+  const EngineCacheStats cache_before = EngineCache::instance().stats();
   for (std::size_t e = 0; e < runners_.size(); ++e) (void)runner(e);
+  const EngineCacheStats resolve_delta = EngineCache::instance().stats() - cache_before;
   const std::lock_guard<std::mutex> lock(mutex_);
   FNE_REQUIRE(remaining_ == 0, "campaign plan: finish() before all jobs merged");
   // Per-entry engine stats fold from the runs themselves (run.engine is
@@ -747,7 +789,7 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
     sr.sweep = campaign_.entries[e].sweep;
     sr.alpha = runners_[e]->alpha();
     sr.epsilon = runners_[e]->epsilon();
-    sr.n = runners_[e]->graph().num_vertices();
+    sr.n = sizes_[e];
     sr.runs = std::move(results_[e]);
     for (const ScenarioRun& r : sr.runs) {
       sr.engine += r.engine;
@@ -756,7 +798,7 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
     report.scenarios.push_back(std::move(sr));
   }
   report.millis = millis;
-  report.cache = cache_delta;
+  report.cache = followed_by(cache_delta, resolve_delta);
   if (store_ != nullptr) {
     const StoreStats store_after = store_->stats();
     report.store_enabled = true;

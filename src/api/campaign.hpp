@@ -169,15 +169,15 @@ struct CampaignJob {
 
 /// The flattened, deterministic schedule of a campaign plus the merge
 /// state every executor shares.  Construction is a PURE function of the
-/// Campaign (entry resolution parallelizes over `threads` but cannot
-/// change a bit), so two plans of the same campaign — a coordinator and
-/// its workers, or two processes racing one store — agree on job
-/// indices, content keys and fingerprint().
+/// Campaign, so two plans of the same campaign — a coordinator and its
+/// workers, or two processes racing one store — agree on job indices,
+/// content keys and fingerprint().  It builds no graph and starts no
+/// thread: each entry's runner leases its graph at first use.
 ///
 /// Split of responsibilities:
 ///   compute_cell / compute_metric  — pure, any thread; the first to
-///     need a measured α that no store served measures it (once per
-///     plan) and commits it to the attached store;
+///     need a measured α or a max degree that no store served resolves
+///     it (once per plan) and commits it to the attached store;
 ///   accept_cell / accept_metric    — synchronized merge, idempotent
 ///     (first write wins; a duplicate or late completion returns false
 ///     and changes nothing), committing completed cells to the attached
@@ -196,6 +196,8 @@ struct CampaignJob {
 /// coincidence.
 class CampaignPlan {
  public:
+  /// `threads` (>= 1) no longer affects construction, which is serial
+  /// and cheap; it is checked and kept for existing callers.
   CampaignPlan(const Campaign& campaign, int threads);
 
   [[nodiscard]] const Campaign& campaign() const noexcept { return campaign_; }
@@ -230,11 +232,13 @@ class CampaignPlan {
   [[nodiscard]] bool all_done() const;
 
   /// Attach a store: serve every already-committed cell from disk (their
-  /// metric jobs complete with them) and every measured-α entry's α from
-  /// its α record, and commit cells as they complete (and α as it is
-  /// measured) from here on.  Returns the number of cells served.  A
-  /// record that fails to decode or has the wrong run count degrades to
-  /// a miss; an unusable α record degrades to measuring α.
+  /// metric jobs complete with them), every measured-α entry's α from its
+  /// α record and every default-ε edge entry's max degree from its graph
+  /// record, and commit cells as they complete (and α and the max degree
+  /// as they are resolved) from here on.  Returns the number of cells
+  /// served.  A record that fails to decode or has the wrong run count
+  /// degrades to a miss; an unusable α record degrades to measuring α,
+  /// an unusable graph record to leasing the graph.
   std::uint64_t attach_store(ResultStore& store);
   [[nodiscard]] std::uint64_t cells_served() const;
   [[nodiscard]] std::uint64_t num_cells() const noexcept { return num_cells_; }
@@ -246,14 +250,17 @@ class CampaignPlan {
 
  private:
   [[nodiscard]] std::size_t cell_slot(const CampaignJob& job) const;
-  /// Entry e's runner with its α resolved: a measured α not served by
-  /// the store is measured here, once, and committed to the store.
+  /// Entry e's runner with α and ε resolved: a measured α or a max
+  /// degree the store did not serve is measured or read from the graph
+  /// here, once, and committed to the store.
   [[nodiscard]] const ScenarioRunner& runner(std::size_t e) const;
   void commit_locked(std::size_t cell);
 
   Campaign campaign_;
   std::vector<std::unique_ptr<ScenarioRunner>> runners_;
   std::vector<std::string> alpha_keys_;  ///< per entry; empty unless α is measured
+  std::vector<std::string> graph_keys_;  ///< per entry; empty unless ε reads the max degree
+  std::vector<vid> sizes_;               ///< per entry: n, from the registry contract
   std::vector<CampaignJob> jobs_;
   std::vector<std::vector<std::size_t>> children_;  ///< cell -> metric jobs
   std::vector<std::vector<ScenarioRun>> results_;   ///< per entry
@@ -265,6 +272,7 @@ class CampaignPlan {
   std::vector<std::size_t> missing_metrics_;  ///< per job (cells only)
   std::vector<char> served_;                  ///< cell came from the store
   mutable std::vector<char> alpha_resolved_;  ///< per entry: α served or measured
+  mutable std::vector<char> degree_resolved_; ///< per entry: max degree served or read
   mutable std::uint64_t alpha_measured_ = 0;  ///< α measured by runner()
   std::size_t remaining_ = 0;
   std::uint64_t served_cells_ = 0;
@@ -279,9 +287,8 @@ class CampaignRunner {
   [[nodiscard]] const Campaign& campaign() const noexcept { return campaign_; }
 
   /// Execute every entry's jobs on `threads` ExecutorPool workers.
-  /// Entry construction (graph build) is itself parallelized across
-  /// entries.  May be called repeatedly; each call reports only its own
-  /// work.
+  /// Graphs are leased by the first job that needs them.  May be called
+  /// repeatedly; each call reports only its own work.
   [[nodiscard]] CampaignReport run(int threads = 1);
 
   /// Store-backed execution (DESIGN.md §11).  Every job is keyed

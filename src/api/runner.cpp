@@ -39,10 +39,7 @@ double ChurnRunTrace::total_prune_millis() const {
   return total;
 }
 
-ScenarioRunner::ScenarioRunner(Scenario scenario)
-    : scenario_(std::move(scenario)),
-      graph_(EngineCache::instance().graph(scenario_.topology.name, scenario_.topology.params,
-                                           scenario_build_seed(scenario_))) {
+ScenarioRunner::ScenarioRunner(Scenario scenario) : scenario_(std::move(scenario)) {
   FNE_REQUIRE(scenario_.repetitions >= 1, "scenario needs >= 1 repetition");
   // Validate metric requests eagerly (names and declared params) so a
   // typo fails at construction, not after the prune work ran.  Names
@@ -57,13 +54,37 @@ ScenarioRunner::ScenarioRunner(Scenario scenario)
                       "' requested twice (records are keyed by name)");
     }
   }
+}
 
-  epsilon_ = scenario_.prune.epsilon;
-  if (epsilon_ <= 0.0) {
-    epsilon_ = scenario_.prune.kind == ExpansionKind::Edge
-                   ? 1.0 / (2.0 * static_cast<double>(graph_->max_degree()))
-                   : 0.5;
+const Graph& ScenarioRunner::graph() const {
+  const std::lock_guard<std::mutex> lock(graph_mutex_);
+  if (graph_ == nullptr) {
+    graph_ = EngineCache::instance().graph(scenario_.topology.name, scenario_.topology.params,
+                                           scenario_build_seed(scenario_));
   }
+  return *graph_;
+}
+
+vid ScenarioRunner::max_degree() const {
+  const std::lock_guard<std::mutex> lock(degree_mutex_);
+  if (!max_degree_.has_value()) max_degree_ = graph().max_degree();
+  return *max_degree_;
+}
+
+bool ScenarioRunner::set_max_degree(vid max_degree) {
+  FNE_REQUIRE(needs_max_degree(), "scenario '" + scenario_.name +
+                                      "': a supplied max degree needs edge expansion and "
+                                      "prune.epsilon <= 0");
+  const std::lock_guard<std::mutex> lock(degree_mutex_);
+  if (max_degree_.has_value()) return false;
+  max_degree_ = max_degree;
+  return true;
+}
+
+double ScenarioRunner::epsilon() const {
+  if (scenario_.prune.epsilon > 0.0) return scenario_.prune.epsilon;
+  if (scenario_.prune.kind == ExpansionKind::Node) return 0.5;
+  return 1.0 / (2.0 * static_cast<double>(max_degree()));
 }
 
 double ScenarioRunner::alpha() const {
@@ -76,7 +97,7 @@ double ScenarioRunner::alpha() const {
     BracketOptions bopts;
     bopts.exact_limit = scenario_.metrics.bracket_exact_limit;
     bopts.seed = scenario_alpha_seed(scenario_);
-    const double measured = expansion_bracket(*graph_, scenario_.prune.kind, bopts).upper;
+    const double measured = expansion_bracket(graph(), scenario_.prune.kind, bopts).upper;
     FNE_REQUIRE(measured > 0.0, "scenario '" + scenario_.name +
                                     "': measured alpha is 0 (disconnected topology?); "
                                     "set prune.alpha explicitly");
@@ -98,6 +119,9 @@ bool ScenarioRunner::set_measured_alpha(double alpha) {
 }
 
 EngineLease ScenarioRunner::lease_engine() const {
+  // Lease the runner's graph first, so concurrent first jobs wait for one
+  // build instead of racing the engine lease's own graph lookup.
+  (void)graph();
   return EngineCache::instance().lease(scenario_.topology.name, scenario_.topology.params,
                                        scenario_build_seed(scenario_),
                                        scenario_.prune.kind);
@@ -125,17 +149,17 @@ PruneEngineOptions ScenarioRunner::engine_options(std::uint64_t finder_seed) con
 
 void ScenarioRunner::measure(ScenarioRun& run, bool defer_split_metrics) const {
   if (scenario_.metrics.fragmentation) {
-    run.fragmentation = fragmentation_profile(*graph_, run.prune.survivors);
+    run.fragmentation = fragmentation_profile(graph(), run.prune.survivors);
   }
   if (scenario_.metrics.expansion && run.prune.survivors.count() >= 2) {
     BracketOptions bopts;
     bopts.exact_limit = scenario_.metrics.bracket_exact_limit;
     bopts.seed = derive_seed(scenario_.seed, 2, static_cast<std::uint64_t>(run.repetition));
     run.expansion =
-        expansion_bracket(*graph_, run.prune.survivors, scenario_.prune.kind, bopts);
+        expansion_bracket(graph(), run.prune.survivors, scenario_.prune.kind, bopts);
   }
   if (scenario_.metrics.verify_trace) {
-    run.trace = verify_prune_trace(*graph_, run.alive, run.prune, scenario_.prune.kind,
+    run.trace = verify_prune_trace(graph(), run.alive, run.prune, scenario_.prune.kind,
                                    run.threshold);
   }
   // Registered metrics, in request order.  Each request gets its own
@@ -162,7 +186,7 @@ MetricRecord ScenarioRunner::compute_metric_request(const ScenarioRun& run,
   FNE_REQUIRE(request_index < requests.size(),
               "scenario '" + scenario_.name + "': metric request index out of range");
   const MetricRequest& request = requests[request_index];
-  const MetricContext ctx{*graph_,  scenario_, run, alpha(), epsilon_,
+  const MetricContext ctx{graph(),  scenario_, run, alpha(), epsilon(),
                           derive_seed(scenario_.seed, 6 + request_index,
                                       static_cast<std::uint64_t>(run.repetition))};
   return MetricsRegistry::instance().compute(request.name, ctx, request.params);
@@ -174,14 +198,17 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   ScenarioRun run;
   run.repetition = rep;
   run.fault_seed = derive_seed(scenario_.seed, 3, static_cast<std::uint64_t>(rep));
-  VertexSet model = FaultModelRegistry::instance().build(fault.name, *graph_, fault.params,
+  const Graph& g = graph();
+  VertexSet model = FaultModelRegistry::instance().build(fault.name, g, fault.params,
                                                          run.fault_seed);
-  run.faults = graph_->num_vertices() - model.count();
+  run.faults = g.num_vertices() - model.count();
   // Chained (monotone-sweep) starts prune the previous point's survivors
   // restricted to this point's mask; run.alive records the actual engine
   // input so verify_prune_trace certifies the run as usual.
   run.alive = chain_start == nullptr ? std::move(model) : (*chain_start & model);
-  run.threshold = alpha() * epsilon_;
+  const double alpha = this->alpha();
+  const double epsilon = this->epsilon();
+  run.threshold = alpha * epsilon;
   run.finder_seed = derive_seed(scenario_.seed, 4, static_cast<std::uint64_t>(rep));
 
   // Snapshot the engine's counters around the run: run.engine is the
@@ -189,7 +216,7 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   // lease, per-job lease, monotone chain point) drove it.
   const EngineStats before = engine.stats();
   Timer timer;
-  run.prune = engine.run(run.alive, alpha(), epsilon_, engine_options(run.finder_seed));
+  run.prune = engine.run(run.alive, alpha, epsilon, engine_options(run.finder_seed));
   run.millis = timer.millis();
   run.engine = engine.stats() - before;
   measure(run, defer_split_metrics);
@@ -234,7 +261,7 @@ std::vector<ScenarioRun> ScenarioRunner::run_chain(const SweepSpec& sweep) const
 
 ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
   PruneEngine& engine = primary_engine();
-  ChurnProcess process(*graph_, options);
+  ChurnProcess process(graph(), options);
   ChurnRunTrace trace;
   trace.rounds.reserve(static_cast<std::size_t>(options.steps));
   for (int t = 0; t < options.steps; ++t) {
@@ -243,7 +270,7 @@ ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
     round.finder_seed = derive_seed(scenario_.seed, 5, static_cast<std::uint64_t>(t));
     Timer timer;
     const PruneResult pruned =
-        engine.run(process.alive(), alpha(), epsilon_, engine_options(round.finder_seed));
+        engine.run(process.alive(), alpha(), epsilon(), engine_options(round.finder_seed));
     round.prune_millis = timer.millis();
     round.survivors = pruned.survivors.count();
     round.culled = pruned.total_culled;

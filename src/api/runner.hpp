@@ -1,11 +1,11 @@
 // fne::ScenarioRunner — the per-job units of Scenario execution
 // (DESIGN.md §6, §8).
 //
-// A runner is bound to one Scenario: it resolves ε at construction and
-// α at first use (a measured α costs an expansion_bracket of the
-// fault-free graph, which a store-served campaign never needs), and it
-// reads its graph and engines from the process-wide EngineCache
-// (api/executor.hpp).
+// A runner is bound to one Scenario.  It leases its fault-free graph from
+// the process-wide EngineCache (api/executor.hpp) and resolves ε and α
+// at first use, not at construction: a store-served campaign needs none
+// of them beyond what its store records already hold, so building one
+// costs no graph build and no expansion_bracket.
 // It schedules nothing itself — CampaignPlan (api/campaign.hpp) is the
 // one scheduler, and every batch (repetitions, sweeps, ad-hoc CLI runs)
 // is a campaign whose cells call the units below.  The runner owns one
@@ -115,7 +115,11 @@ class ScenarioRunner {
   explicit ScenarioRunner(Scenario scenario);
 
   [[nodiscard]] const Scenario& scenario() const noexcept { return scenario_; }
-  [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
+  /// The fault-free graph, leased from the EngineCache on first call
+  /// from any thread (concurrent first callers wait for that one lease).
+  /// A failed lease (bad topology params) throws, here and at every
+  /// later call.
+  [[nodiscard]] const Graph& graph() const;
   /// α every unit prunes with: prune.alpha when > 0, else the
   /// fault-free graph's measured expansion (constructive bracket upper
   /// bound), measured once, on first call, from any thread (concurrent
@@ -123,7 +127,21 @@ class ScenarioRunner {
   /// (disconnected topology) throws PreconditionError naming the
   /// scenario, here and at every later call.
   [[nodiscard]] double alpha() const;
-  [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
+  /// ε every unit prunes with: prune.epsilon when > 0, else 0.5 for
+  /// node expansion, else 1/(2·max_degree()).
+  [[nodiscard]] double epsilon() const;
+  /// True when epsilon() reads the graph's max degree (edge expansion
+  /// with prune.epsilon <= 0).
+  [[nodiscard]] bool needs_max_degree() const noexcept {
+    return scenario_.prune.epsilon <= 0.0 && scenario_.prune.kind == ExpansionKind::Edge;
+  }
+  /// The fault-free graph's max degree: the supplied value, else read
+  /// from graph() once, on first call.
+  [[nodiscard]] vid max_degree() const;
+  /// Supply the max degree from elsewhere (the campaign's result store)
+  /// so epsilon() never leases the graph.  Only for runners that need
+  /// it; returns false, changing nothing, when it was already resolved.
+  bool set_max_degree(vid max_degree);
   /// True when alpha() measures (prune.alpha <= 0).
   [[nodiscard]] bool measures_alpha() const noexcept { return scenario_.prune.alpha <= 0.0; }
   /// Supply the measured α from elsewhere (the campaign's result store)
@@ -195,14 +213,17 @@ class ScenarioRunner {
   void measure(ScenarioRun& run, bool defer_split_metrics) const;
 
   Scenario scenario_;
-  std::shared_ptr<const Graph> graph_;
-  // A mutex, not std::call_once: libstdc++'s call_once can leave the
-  // other waiters blocked for good when the callable throws, and the
-  // measurement throws on a disconnected topology.
+  // Mutexes plus flags, not std::call_once: libstdc++'s call_once can
+  // leave the other waiters blocked for good when the callable throws,
+  // and both the graph lease (bad params) and the α measurement
+  // (disconnected topology) can throw.
+  mutable std::mutex graph_mutex_;
+  mutable std::shared_ptr<const Graph> graph_;  ///< null until the first graph() call
+  mutable std::mutex degree_mutex_;
+  mutable std::optional<vid> max_degree_;  ///< read from graph() or supplied
   mutable std::mutex alpha_mutex_;
   mutable bool alpha_resolved_ = false;  ///< measured or supplied (measuring runners)
   mutable double alpha_ = 0.0;
-  double epsilon_ = 0.0;
   EngineLease primary_;  ///< leased lazily; held for the runner's lifetime
 };
 

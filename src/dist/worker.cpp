@@ -35,7 +35,7 @@ DistWorker::DistWorker(Campaign campaign, WorkerOptions options)
 
 WorkerReport DistWorker::run() {
   WorkerReport report;
-  CampaignPlan plan(campaign_, std::max(opts_.plan_threads, 1));
+  CampaignPlan plan(campaign_, 1);
   const std::uint64_t fingerprint = wire_fingerprint(plan.fingerprint());
   std::uint64_t submitted = 0;
 

@@ -38,7 +38,6 @@ struct WorkerOptions {
   std::string host = "127.0.0.1";
   int port = 0;
   std::string name = "worker";
-  int plan_threads = 1;          ///< parallelism for plan construction
   int connect_timeout_ms = 1000;
   int connect_attempts = 40;     ///< reconnect tries before giving up
   int reconnect_backoff_ms = 50; ///< doubled per failure, capped at 1s

@@ -109,4 +109,10 @@ std::string store_alpha_key(const Scenario& scenario) {
   return key;
 }
 
+std::string store_graph_key(const Scenario& scenario) {
+  std::string key = "fne-graph|schema=1";
+  append_graph(key, scenario);
+  return key;
+}
+
 }  // namespace fne

@@ -40,4 +40,9 @@ struct SweepSpec;
 /// campaign measuring on one graph shares one record.
 [[nodiscard]] std::string store_alpha_key(const Scenario& scenario);
 
+/// The key of a scenario's graph record (DESIGN.md §11): the fault-free
+/// graph alone (topology, params, cache salt, build seed), so every entry
+/// of every campaign on one graph shares one record.
+[[nodiscard]] std::string store_graph_key(const Scenario& scenario);
+
 }  // namespace fne

@@ -177,4 +177,22 @@ std::optional<double> decode_alpha(std::string_view payload) {
   return alpha;
 }
 
+std::string encode_max_degree(vid max_degree) { return std::to_string(max_degree); }
+
+std::optional<vid> decode_max_degree(std::string_view payload) {
+  // At most 10 digits fit a u32; accumulate in 64 bits so none overflows.
+  if (payload.empty() || payload.size() > 10) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : payload) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  // Canonical only: rejects leading zeros and values past the vid range.
+  if (value > std::numeric_limits<vid>::max() ||
+      encode_max_degree(static_cast<vid>(value)) != payload) {
+    return std::nullopt;
+  }
+  return static_cast<vid>(value);
+}
+
 }  // namespace fne

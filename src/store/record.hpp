@@ -48,4 +48,12 @@ inline constexpr std::uint32_t kCellRecordFormat = 1;
 [[nodiscard]] std::string encode_alpha(double alpha);
 [[nodiscard]] std::optional<double> decode_alpha(std::string_view payload);
 
+/// A graph record (store/key.hpp store_graph_key) holds the fault-free
+/// graph's max degree as canonical decimal text.  decode_max_degree is
+/// total: it returns nullopt unless the payload is exactly what
+/// encode_max_degree writes for some vid, so a damaged record degrades
+/// to leasing the graph again.
+[[nodiscard]] std::string encode_max_degree(vid max_degree);
+[[nodiscard]] std::optional<vid> decode_max_degree(std::string_view payload);
+
 }  // namespace fne

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -76,6 +77,43 @@ std::uint64_t file_size_of(int fd) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
+/// Bytes a log scan reads per pread (fewer at the end of the log).
+constexpr std::size_t kScanChunk = std::size_t{1} << 20;
+
+/// A read window over the log prefix [0, size) for scan_tail: frames are
+/// served from one buffer filled kScanChunk bytes at a time, so a scan
+/// costs one pread per chunk instead of two per frame.  The buffer holds
+/// at most max(kScanChunk, largest frame) bytes, whatever the log size.
+class ScanWindow {
+ public:
+  ScanWindow(int fd, std::uint64_t size) : fd_(fd), size_(size) {}
+
+  /// True when at(off, len) would not move the window (and so would not
+  /// invalidate pointers it returned before).
+  [[nodiscard]] bool holds(std::uint64_t off, std::size_t len) const {
+    return off >= start_ && off + len <= start_ + filled_;
+  }
+
+  /// The bytes [off, off + len), or nullptr when the log prefix ends first.
+  const unsigned char* at(std::uint64_t off, std::size_t len) {
+    if (holds(off, len)) return buf_.data() + (off - start_);
+    if (off > size_ || len > size_ - off) return nullptr;
+    const std::size_t want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(std::max(len, kScanChunk), size_ - off));
+    if (buf_.size() < want) buf_.resize(want);
+    start_ = off;
+    filled_ = read_at(fd_, off, buf_.data(), want);
+    return filled_ >= len ? buf_.data() : nullptr;
+  }
+
+ private:
+  int fd_;
+  std::uint64_t size_;
+  std::vector<unsigned char> buf_;
+  std::uint64_t start_ = 0;  ///< log offset of buf_[0]
+  std::size_t filled_ = 0;   ///< valid bytes in buf_
+};
+
 }  // namespace
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
@@ -145,28 +183,68 @@ void ResultStore::open_log() {
 
 void ResultStore::scan_tail(bool allow_truncate) {
   const std::uint64_t size = file_size_of(fd_);
-  while (scan_end_ < size) {
-    unsigned char fh[kFrameHeaderSize];
-    bool torn = false;
+  ScanWindow window(fd_, size);
+  // Frames read from the current window, not yet indexed, with their
+  // bodies (key bytes then payload bytes) as views into the window.  They
+  // are checksummed together (fnv1a_batch) and indexed in log order
+  // before the window moves, which would invalidate the views.
+  struct Frame {
+    std::uint64_t off = 0;
     std::uint32_t key_len = 0;
     std::uint32_t payload_len = 0;
-    std::uint64_t checksum = 0;
     std::uint32_t format = 0;
-    if (read_at(fd_, scan_end_, fh, kFrameHeaderSize) < kFrameHeaderSize) {
-      torn = true;
-    } else {
-      key_len = get_u32(fh + 4);
-      payload_len = get_u32(fh + 8);
-      format = get_u32(fh + 12);
-      checksum = get_u64(fh + 16);
-      torn = get_u32(fh) != kFrameMagic || key_len == 0 || key_len > kMaxKeyLen ||
-             payload_len > kMaxPayloadLen ||
-             scan_end_ + kFrameHeaderSize + key_len + payload_len > size;
+    std::uint64_t checksum = 0;
+  };
+  std::vector<Frame> pending;
+  std::vector<std::string_view> bodies;
+  std::vector<std::uint64_t> sums;
+  const auto index_pending = [&] {
+    sums.resize(pending.size());
+    fnv1a_batch(bodies, sums);
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      const Frame& f = pending[i];
+      if (f.format != kFrameFormat || sums[i] != f.checksum) {
+        // Framing intact, content bad: skip just this record.  It is not
+        // indexed, so a later good copy of the key (or a later put() of
+        // it) is.
+        ++stats_.corrupt_records;
+        continue;
+      }
+      // First write wins; a duplicate frame (two processes racing the
+      // same key) carries identical bytes by the determinism contract.
+      index_.try_emplace(std::string(bodies[i].substr(0, f.key_len)),
+                         IndexEntry{f.off, f.key_len, f.payload_len, f.checksum});
     }
-    if (torn) {
+    pending.clear();
+    bodies.clear();
+  };
+  const auto read = [&](std::uint64_t off, std::size_t len) {
+    if (!window.holds(off, len)) index_pending();
+    return window.at(off, len);
+  };
+
+  while (scan_end_ < size) {
+    const unsigned char* fh = read(scan_end_, kFrameHeaderSize);
+    const unsigned char* body = nullptr;
+    Frame frame;
+    if (fh != nullptr) {
+      frame.key_len = get_u32(fh + 4);
+      frame.payload_len = get_u32(fh + 8);
+      frame.format = get_u32(fh + 12);
+      frame.checksum = get_u64(fh + 16);
+      const bool framed = get_u32(fh) == kFrameMagic && frame.key_len != 0 &&
+                          frame.key_len <= kMaxKeyLen && frame.payload_len <= kMaxPayloadLen &&
+                          scan_end_ + kFrameHeaderSize + frame.key_len + frame.payload_len <= size;
+      if (framed) {
+        body = read(scan_end_ + kFrameHeaderSize,
+                    static_cast<std::size_t>(frame.key_len) + frame.payload_len);
+      }
+    }
+    if (body == nullptr) {
       // A torn or garbage tail.  open() drops it (the writer died
       // mid-append); refresh() leaves it — a live writer may still be
       // completing the frame.
+      index_pending();
       if (allow_truncate) {
         stats_.truncated_bytes += size - scan_end_;
         FNE_REQUIRE(::ftruncate(fd_, static_cast<off_t>(scan_end_)) == 0,
@@ -174,32 +252,13 @@ void ResultStore::scan_tail(bool allow_truncate) {
       }
       return;
     }
-
-    std::string body(static_cast<std::size_t>(key_len) + payload_len, '\0');
-    if (read_at(fd_, scan_end_ + kFrameHeaderSize, body.data(), body.size()) < body.size()) {
-      if (allow_truncate) {
-        stats_.truncated_bytes += size - scan_end_;
-        FNE_REQUIRE(::ftruncate(fd_, static_cast<off_t>(scan_end_)) == 0,
-                    "result store: cannot truncate torn tail of " + log_path_);
-      }
-      return;
-    }
-    const std::string_view key(body.data(), key_len);
-    const std::string_view payload(body.data() + key_len, payload_len);
-    const std::uint64_t frame_off = scan_end_;
-    scan_end_ += kFrameHeaderSize + key_len + payload_len;
-
-    if (format != kFrameFormat || frame_checksum(key, payload) != checksum) {
-      // Framing intact, content bad: skip just this record.  It is not
-      // indexed, so a later put() of the same key appends a good copy.
-      ++stats_.corrupt_records;
-      continue;
-    }
-    // First write wins; a duplicate frame (two processes racing the same
-    // key) carries identical bytes by the determinism contract anyway.
-    index_.try_emplace(std::string(key),
-                       IndexEntry{frame_off, key_len, payload_len, checksum});
+    frame.off = scan_end_;
+    pending.push_back(frame);
+    bodies.emplace_back(reinterpret_cast<const char*>(body),
+                        static_cast<std::size_t>(frame.key_len) + frame.payload_len);
+    scan_end_ += kFrameHeaderSize + frame.key_len + frame.payload_len;
   }
+  index_pending();
 }
 
 std::optional<std::string> ResultStore::load(const std::string& key) {

@@ -103,7 +103,8 @@ class ResultStore {
 
   void open_log();
   void create_fresh_log();
-  /// Scan frames from scan_end_.  `allow_truncate` controls the torn-tail
+  /// Scan frames from scan_end_, reading the log in bounded chunks (one
+  /// pread per chunk, not per frame).  `allow_truncate` controls the torn-tail
   /// policy: open() truncates, refresh() leaves it for the writer.
   void scan_tail(bool allow_truncate);
 

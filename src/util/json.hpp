@@ -14,36 +14,31 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace fne {
 
-/// Flat JSON object: insertion-ordered key -> already-encoded value.
+/// Flat JSON object, encoded as it is built: fields appear in insertion
+/// order.
 class JsonObject {
  public:
   JsonObject& put(const std::string& key, const std::string& value) {
-    // Append form: the operator+ chain trips GCC 12's bogus -Wrestrict
-    // diagnostic (PR 105329) at some inline sites.
-    std::string encoded = "\"";
-    encoded += escape(value);
-    encoded += "\"";
-    return raw(key, std::move(encoded));
+    open_field(key);
+    body_ += '"';
+    append_escaped(body_, value);
+    body_ += '"';
+    return *this;
   }
   JsonObject& put(const std::string& key, const char* value) {
     return put(key, std::string(value));
   }
-  JsonObject& put(const std::string& key, double value) {
-    std::ostringstream os;
-    os.precision(12);
-    os << value;
-    return raw(key, os.str());
-  }
+  JsonObject& put(const std::string& key, double value) { return raw(key, number(value)); }
   JsonObject& put(const std::string& key, bool value) {
     return raw(key, value ? "true" : "false");
   }
@@ -58,42 +53,50 @@ class JsonObject {
   }
   /// Splice an ALREADY-ENCODED JSON value (an object/array dump) under
   /// `key` — the nesting hook CampaignReport uses to compose sub-objects.
-  JsonObject& put_json(const std::string& key, std::string encoded) {
-    return raw(key, std::move(encoded));
+  JsonObject& put_json(const std::string& key, const std::string& encoded) {
+    return raw(key, encoded);
   }
   /// Splice `values` as a JSON array of numbers.
   JsonObject& put_numbers(const std::string& key, const std::vector<double>& values) {
-    std::string out = "[";
+    open_field(key);
+    body_ += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) out += ", ";
-      std::ostringstream os;
-      os.precision(12);
-      os << values[i];
-      out += os.str();
+      if (i > 0) body_ += ", ";
+      body_ += number(values[i]);
     }
-    return raw(key, out + "]");
+    body_ += ']';
+    return *this;
   }
 
   [[nodiscard]] std::string dump() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += '"';
-      out += escape(fields_[i].first);
-      out += "\": ";
-      out += fields_[i].second;
-    }
-    return out + "}";
+    std::string out;
+    out.reserve(body_.size() + 2);
+    out += '{';
+    out += body_;
+    out += '}';
+    return out;
   }
 
  private:
-  JsonObject& raw(const std::string& key, std::string encoded) {
-    fields_.emplace_back(key, std::move(encoded));
+  JsonObject& raw(const std::string& key, const std::string& encoded) {
+    open_field(key);
+    body_ += encoded;
     return *this;
   }
-  [[nodiscard]] static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
+  void open_field(const std::string& key) {
+    if (!body_.empty()) body_ += ", ";
+    body_ += '"';
+    append_escaped(body_, key);
+    body_ += "\": ";
+  }
+  /// `value` as a std::ostream at precision 12 prints it (printf's
+  /// "%.12g"), without building a stream per number.
+  [[nodiscard]] static std::string number(double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.12g", value);
+    return buf;
+  }
+  static void append_escaped(std::string& out, const std::string& s) {
     for (char c : s) {
       if (c == '"' || c == '\\') {
         out += '\\';
@@ -104,9 +107,8 @@ class JsonObject {
         out += c;
       }
     }
-    return out;
   }
-  std::vector<std::pair<std::string, std::string>> fields_;
+  std::string body_;  ///< the encoded fields, without the braces
 };
 
 /// A report = one top-level object plus named arrays of flat records.

@@ -15,6 +15,7 @@
 #include "api/registry.hpp"
 #include "api/runner.hpp"
 #include "store/result_store.hpp"
+#include "topology/classic.hpp"
 #include "util/json.hpp"
 #include "util/require.hpp"
 
@@ -390,6 +391,83 @@ TEST(Campaign, ValidatesEntriesEagerly) {
   EXPECT_THROW((void)CampaignRunner(std::move(bad)), PreconditionError);
   Campaign empty;
   EXPECT_THROW((void)CampaignRunner(std::move(empty)), PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy graph lease
+// ---------------------------------------------------------------------------
+
+std::atomic<int> g_counted_builds{0};
+
+/// A cycle topology that counts its builds, registered once per process.
+[[nodiscard]] const std::string& counted_topology() {
+  static const std::string name = [] {
+    const std::string n = "test_counted_cycle";
+    TopologyEntry entry;
+    entry.name = n;
+    entry.doc = "cycle graph that counts its builds (tests only)";
+    entry.params = {{"n", "32", "vertex count"}};
+    entry.expected_n = [](const Params& p) { return static_cast<vid>(p.get_int("n", 32)); };
+    entry.build = [](const Params& p, std::uint64_t) {
+      g_counted_builds.fetch_add(1);
+      return cycle_graph(static_cast<vid>(p.get_int("n", 32)));
+    };
+    entry.seeded = false;
+    TopologyRegistry::instance().add(std::move(entry));
+    return n;
+  }();
+  return name;
+}
+
+TEST(RunnerLease, ConstructionAndServedEpsilonLeaseNoGraph) {
+  Scenario s;
+  s.name = "counted";
+  s.topology = {counted_topology(), Params{{"n", "24"}}};
+  s.prune.alpha = 0.25;
+  EngineCache::instance().clear();
+  g_counted_builds = 0;
+
+  s.prune.kind = ExpansionKind::Node;
+  EXPECT_EQ(ScenarioRunner(s).epsilon(), 0.5);
+  s.prune.kind = ExpansionKind::Edge;
+  s.prune.epsilon = 0.3;
+  EXPECT_EQ(ScenarioRunner(s).epsilon(), 0.3);
+  s.prune.epsilon = 0.0;
+  ScenarioRunner served(s);
+  ASSERT_TRUE(served.needs_max_degree());
+  EXPECT_TRUE(served.set_max_degree(2));
+  EXPECT_FALSE(served.set_max_degree(3)) << "the first supplied value stays";
+  EXPECT_EQ(served.epsilon(), 0.25);
+  EXPECT_EQ(g_counted_builds.load(), 0) << "no graph until a unit needs one";
+
+  ScenarioRunner read(s);
+  EXPECT_EQ(read.epsilon(), 0.25) << "a cycle's max degree is 2";
+  EXPECT_EQ(g_counted_builds.load(), 1);
+  EXPECT_FALSE(read.set_max_degree(7)) << "already read from the graph";
+  EXPECT_EQ(read.graph().num_vertices(), 24u);
+  EXPECT_EQ(g_counted_builds.load(), 1);
+}
+
+TEST(RunnerLease, ConcurrentRepetitionsBuildTheGraphOnce) {
+  Campaign campaign;
+  campaign.name = "lease-once";
+  Scenario s;
+  s.name = "counted-reps";
+  s.topology = {counted_topology(), Params{{"n", "40"}}};
+  s.fault = {"random", Params{{"p", "0.1"}}};
+  s.prune.kind = ExpansionKind::Edge;  // measured α and default ε
+  s.repetitions = 6;
+  s.seed = 3;
+  campaign.entries.push_back({s, std::nullopt});
+
+  EngineCache::instance().clear();
+  g_counted_builds = 0;
+  const CampaignReport report = CampaignRunner(campaign).run(2);
+  EXPECT_EQ(g_counted_builds.load(), 1) << "six jobs on two threads lease one graph";
+  EXPECT_EQ(report.cache.graph_builds, 1u);
+  EXPECT_EQ(report.scenarios[0].n, 40u);
+  EXPECT_EQ(report.scenarios[0].epsilon, 0.25);
+  EXPECT_EQ(report.to_json(false), CampaignRunner(campaign).run(1).to_json(false));
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
-// util/hash contracts: FNV-1a known-answer vectors, streaming
-// equivalence, the mask_hash word discipline (the campaign payload's
+// util/hash contracts: FNV-1a known-answer vectors, streaming and
+// batched equivalence, the mask_hash word discipline (the campaign payload's
 // survivor_hash — its value is pinned by golden payloads under
 // reproduce/, so these tests guard the byte discipline explicitly), and
 // the 128-bit store-key variant.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/vertex_set.hpp"
 #include "util/hash.hpp"
@@ -39,6 +43,24 @@ TEST(Fnv1a, WordFeedsEightBytesLowFirst) {
     by_bytes.byte(b);
   }
   EXPECT_EQ(by_word.value(), by_bytes.value());
+}
+
+TEST(Fnv1a, BatchEqualsOneInputAtATime) {
+  // Mixed lengths (empty ones too) so lanes finish and refill at
+  // different times; every count from 0 to past the lane count.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 23; ++i) {
+    const auto length = static_cast<std::size_t>((i * 37) % 101);
+    texts.push_back(std::string(length, static_cast<char>('a' + i)) + std::to_string(i));
+    if (i % 5 == 0) texts.push_back("");
+  }
+  for (std::size_t count = 0; count <= texts.size(); ++count) {
+    SCOPED_TRACE(count);
+    const std::vector<std::string_view> inputs(texts.begin(), texts.begin() + count);
+    std::vector<std::uint64_t> out(count, 0);
+    fnv1a_batch(inputs, out);
+    for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(out[i], fnv1a(inputs[i])) << i;
+  }
 }
 
 TEST(MaskHash, IsTheUniverseThenWordsStream) {

@@ -15,10 +15,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "api/campaign.hpp"
+#include "api/executor.hpp"
 #include "api/runner.hpp"
 #include "core/csr_file.hpp"
 #include "core/graph.hpp"
@@ -342,6 +344,9 @@ TEST(ResultStore, TwoStoresOnOneDirectoryDedupViaRefresh) {
 constexpr std::uint64_t kStoreCampaignJobs = 6;  // 3 reps + 1 chain + 2 points
 // "reps" and "points" leave prune.alpha at 0, so each adds one α record.
 constexpr std::uint64_t kStoreCampaignAlphaRecords = 2;
+// "reps" (mesh 12) and "chain" (mesh 16) take the edge-expansion default
+// ε, so each adds one graph record; "points" prunes node expansion.
+constexpr std::uint64_t kStoreCampaignGraphRecords = 2;
 
 TEST(CampaignStore, PayloadIsByteIdenticalDisabledColdWarmAtAnyThreadCount) {
   const std::string dir = fresh_dir("campaign-payload");
@@ -416,8 +421,9 @@ TEST(CampaignStore, KilledCampaignResumesRecomputingOnlyMissingCells) {
   write_file(log_of(dir), bytes.substr(0, bytes.size() - 7));
 
   ResultStore store(dir);
-  EXPECT_EQ(store.stats().records, kStoreCampaignJobs - 1u + kStoreCampaignAlphaRecords)
-      << "every cell but the torn one, plus both alpha records";
+  EXPECT_EQ(store.stats().records,
+            kStoreCampaignJobs - 1u + kStoreCampaignAlphaRecords + kStoreCampaignGraphRecords)
+      << "every cell but the torn one, plus both alpha and both graph records";
   const CampaignReport resumed = runner.run(2, &store);
   EXPECT_EQ(resumed.store.hits, kStoreCampaignJobs - 1u)
       << "every previously committed cell must be served from the store";
@@ -671,6 +677,190 @@ TEST(CampaignStore, DisconnectedTopologyStillNeedsAnExplicitAlpha) {
   expect_alpha_error(&store);
   EXPECT_EQ(store.stats().records, 0u) << "no cell and no alpha record";
   EXPECT_FALSE(store.contains(store_alpha_key(s)));
+}
+
+// ---------------------------------------------------------------------------
+// Graph records and graph-free warm replay
+// ---------------------------------------------------------------------------
+
+TEST(CellRecord, GraphPayloadRoundTripsAndDecodeIsTotal) {
+  for (const vid degree : {vid{0}, vid{1}, vid{4}, vid{1000}, std::numeric_limits<vid>::max()}) {
+    const auto decoded = decode_max_degree(encode_max_degree(degree));
+    ASSERT_TRUE(decoded.has_value()) << encode_max_degree(degree);
+    EXPECT_EQ(*decoded, degree);
+  }
+  for (const char* bad : {"", "garbage", "-1", "+4", "04", "00", " 4", "4 ", "4x", "4.0", "0x4",
+                          "4294967296", "99999999999"}) {
+    EXPECT_FALSE(decode_max_degree(bad).has_value()) << "'" << bad << "' must not decode";
+  }
+}
+
+TEST(CellKey, GraphKeyNamesTheFaultFreeGraphAndNothingElse) {
+  const Scenario s = small_scenario();
+  const std::string key = store_graph_key(s);
+  EXPECT_EQ(key.find("fne-graph|schema=1|"), 0u);
+  EXPECT_NE(key.find("|build_seed=" + std::to_string(scenario_build_seed(s))), std::string::npos);
+  Scenario same = s;
+  same.fault.params.set("p", 0.3);
+  same.prune.kind = ExpansionKind::Node;
+  same.prune.alpha = 0.0;
+  same.metrics.bracket_exact_limit = 10;
+  EXPECT_EQ(store_graph_key(same), key) << "one record per fault-free graph";
+  Scenario other = s;
+  other.topology.params.set("side", std::string("11"));
+  EXPECT_NE(store_graph_key(other), key);
+  EXPECT_NE(store_graph_key(s), store_alpha_key(s)) << "graph and alpha keys never meet";
+}
+
+/// store_campaign() plus a salted `file` entry and an explicit-ε entry:
+/// reps, independent points, a monotone chain, measured and explicit α,
+/// default ε on edge and node expansion, and an explicit ε.
+[[nodiscard]] Campaign graph_free_campaign() {
+  Campaign campaign = store_campaign();
+  campaign.name = "store-graph-free";
+  {
+    Scenario s;
+    s.name = "file";
+    s.topology = {"file",
+                  Params{{"path", std::string(FNE_REPO_DIR) + "/tests/data/mini_p2p.csr"}}};
+    s.fault = {"random", Params{{"p", "0.25"}}};
+    s.prune.kind = ExpansionKind::Edge;
+    s.prune.alpha = 0.125;  // disconnected: a measured alpha would be 0
+    s.repetitions = 2;
+    s.seed = 84;
+    campaign.entries.push_back({s, std::nullopt});
+  }
+  {
+    Scenario s;
+    s.name = "explicit-epsilon";
+    s.topology = {"random_regular", Params{{"n", "64"}, {"degree", "4"}}};
+    s.fault = {"random", Params{{"p", "0.1"}}};
+    s.prune.kind = ExpansionKind::Edge;
+    s.prune.alpha = 0.25;
+    s.prune.epsilon = 0.2;
+    s.repetitions = 2;
+    s.seed = 85;
+    campaign.entries.push_back({s, std::nullopt});
+  }
+  return campaign;
+}
+
+TEST(CampaignStore, WarmRunBuildsNoGraph) {
+  const Campaign campaign = graph_free_campaign();
+  const std::string storeless = CampaignRunner(campaign).run(2).to_json(false);
+
+  ResultStore store(fresh_dir("graph-free"));
+  EngineCache::instance().clear();
+  const CampaignReport cold = CampaignRunner(campaign).run(2, &store);
+  EXPECT_GT(cold.cache.graph_builds, 0u);
+  EXPECT_EQ(cold.to_json(false), storeless);
+  // reps, chain and file read the max degree; points prunes node
+  // expansion and explicit-epsilon names its ε.
+  for (std::size_t e = 0; e < campaign.entries.size(); ++e) {
+    const Scenario& s = campaign.entries[e].scenario;
+    EXPECT_EQ(store.contains(store_graph_key(s)),
+              s.prune.kind == ExpansionKind::Edge && s.prune.epsilon <= 0.0)
+        << s.name;
+  }
+  EXPECT_NE(store_graph_key(campaign.entries[3].scenario).find("|topo_salt="), std::string::npos);
+
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    EngineCache::instance().clear();
+    const CampaignReport warm = CampaignRunner(campaign).run(threads, &store);
+    EXPECT_EQ(warm.store.misses, 0u);
+    EXPECT_EQ(warm.store.alpha_measured, 0u);
+    EXPECT_EQ(warm.cache.graph_builds, 0u) << "a fully served run must lease no graph";
+    EXPECT_EQ(warm.cache.leases, 0u);
+    EXPECT_EQ(warm.to_json(false), cold.to_json(false));
+    EXPECT_EQ(warm.to_json(false), storeless);
+  }
+}
+
+TEST(CampaignStore, PlantedGraphRecordSetsTheDefaultEpsilon) {
+  const Campaign campaign = store_campaign();
+  const Scenario& chain = campaign.entries[1].scenario;  // mesh 16, max degree 4
+  ResultStore store(fresh_dir("graph-planted"));
+  store.put(store_graph_key(chain), encode_max_degree(8));
+  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(report.scenarios[1].epsilon, 1.0 / 16.0) << "only the record can have said 8";
+  EXPECT_EQ(report.scenarios[0].epsilon, 1.0 / 8.0) << "mesh 12 was read from its graph";
+  for (const ScenarioRun& run : report.scenarios[1].runs) {
+    EXPECT_EQ(run.threshold, chain.prune.alpha / 16.0) << "the cells prune with the served ε";
+  }
+}
+
+TEST(CampaignStore, CorruptGraphRecordIsRebuiltAndRecommitted) {
+  Campaign campaign = alpha_campaign(2);
+  Scenario& s = campaign.entries[0].scenario;
+  s.topology = {"mesh", Params{{"side", "10"}, {"dims", "2"}}};
+  s.prune.kind = ExpansionKind::Edge;
+  s.prune.alpha = 0.2;  // explicit: the graph record is the only non-cell record
+  const std::string dir = fresh_dir("graph-corrupt");
+  std::string payload;
+  {
+    ResultStore store(dir);
+    payload = CampaignRunner(campaign).run(1, &store).to_json(false);
+  }
+  // The graph record is the first frame (read before the first cell
+  // commits): flip its payload's last byte.
+  const std::string key = store_graph_key(s);
+  const std::size_t degree_len = encode_max_degree(4).size();
+  std::string bytes = read_file(log_of(dir));
+  ASSERT_EQ(bytes.compare(16 + 24, key.size(), key), 0) << "graph record is not the first frame";
+  const std::size_t flip = 16 + 24 + key.size() + degree_len - 1;
+  bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5A);
+  write_file(log_of(dir), bytes);
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().corrupt_records, 1u);
+  EXPECT_FALSE(store.contains(key));
+  EngineCache::instance().clear();
+  const CampaignReport served = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(served.store.hits, 2u);
+  EXPECT_EQ(served.store.misses, 0u);
+  EXPECT_EQ(served.cache.graph_builds, 1u) << "finish() leases the graph no record served";
+  EXPECT_EQ(served.to_json(false), payload);
+  EXPECT_TRUE(store.contains(key)) << "the max degree was committed again";
+  EXPECT_EQ(store.load(key).value_or(""), encode_max_degree(4));
+
+  EngineCache::instance().clear();
+  const CampaignReport healed = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(healed.cache.graph_builds, 0u);
+  EXPECT_EQ(healed.to_json(false), payload);
+}
+
+TEST(ResultStore, CorruptFrameThenGoodCopyIndexesTheGoodCopy) {
+  // A log longer than one scan chunk (1 MiB): a corrupt frame of key k
+  // sits past the first chunk, and a later good copy of k must be indexed
+  // — the scan skips exactly the corrupt frame and keeps going.
+  const std::string dir = fresh_dir("corrupt-then-good");
+  const std::string filler(100000, 'f');
+  std::uint64_t k_frame = 0;
+  {
+    ResultStore store(dir);
+    for (int i = 0; i < 15; ++i) store.put("filler-" + std::to_string(i), filler);
+    k_frame = fs::file_size(log_of(dir));
+    store.put("k", "first-copy");
+    for (int i = 15; i < 30; ++i) store.put("filler-" + std::to_string(i), filler);
+  }
+  ASSERT_GT(k_frame, std::uint64_t{1} << 20);
+  // Append a second, good copy of k by hand (put() would refuse: first
+  // write wins), then break the first copy's checksum.
+  std::string bytes = read_file(log_of(dir));
+  const std::string first_frame = bytes.substr(static_cast<std::size_t>(k_frame), 24 + 1 + 10);
+  bytes += first_frame;
+  const std::size_t flip = static_cast<std::size_t>(k_frame) + 24 + 1 + 10 - 1;
+  bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5A);
+  write_file(log_of(dir), bytes);
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().corrupt_records, 1u);
+  EXPECT_EQ(store.stats().truncated_bytes, 0u);
+  EXPECT_EQ(store.stats().records, 31u);
+  EXPECT_EQ(store.load("k").value_or(""), "first-copy") << "the good copy is served";
+  EXPECT_EQ(store.load("filler-29").value_or(""), filler);
+  EXPECT_EQ(store.stats().corrupt_records, 1u) << "the good copy re-verifies on load";
 }
 
 }  // namespace
