@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
   Table stats({"mode", "engine runs", "iters", "eigensolves", "stale sweeps", "stale hits",
                "disconnected culls", "relabel BFS", "relabel verts"});
   for (const auto& [mode, st] :
-       {std::pair<const char*, EngineStats>{"deterministic", det_runner.engine_stats()},
-        std::pair<const char*, EngineStats>{"fast", fast_runner.engine_stats()}}) {
+       {std::pair<const char*, EngineStats>{"deterministic", det.engine},
+        std::pair<const char*, EngineStats>{"fast", fast.engine}}) {
     stats.row()
         .cell(mode)
         .cell(st.runs)

@@ -43,7 +43,7 @@
 //       (reproduce/validate.sh).  Ad-hoc runs take all four too.
 //   scenario_runner --scenario=can-churn --churn-steps=40
 //       additionally drive ongoing churn after the campaign, re-pruning
-//       every round through a ScenarioRunner's persistent engine
+//       every round on the one engine a run_churn call leases
 //       (ad-hoc scenarios only; table output only)
 //   scenario_runner --campaign=FILE --serve[=PORT] [--workers=N]
 //       distributed execution (DESIGN.md §12): serve the campaign's jobs
@@ -470,8 +470,8 @@ int run_campaign(const Cli& cli) {
   // stdout.  `--json=path` keeps the tables and writes the file.
   const std::string json_path = cli.get("json", "");
   const bool json_to_stdout = json_path == "1";
-  // --churn-steps: the ad-hoc scenario, re-pruned every churn round on a
-  // runner's persistent engine after the campaign (table output only).
+  // --churn-steps: the ad-hoc scenario, re-pruned every churn round on
+  // one leased engine after the campaign (table output only).
   const auto churn_steps = static_cast<int>(cli.get_int("churn-steps", 0));
   std::optional<Scenario> churn_scenario;
   if (churn_steps > 0 && !json_to_stdout) churn_scenario = campaign.entries.front().scenario;

@@ -4,8 +4,8 @@
 //
 // Scenario-layer version: a campaign with one entry per dimension
 // (topology "can" from the registry), each sweeping the fault
-// probability, then ongoing churn re-pruned every round through one
-// ScenarioRunner's persistent engine (run_churn).
+// probability, then ongoing churn re-pruned every round on the one
+// engine a run_churn call leases.
 //
 //   ./example_p2p_can [--peers=256] [--seed=42]
 #include <algorithm>
@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
 
   // Ongoing churn (leave + rejoin) rather than a one-shot failure wave:
   // the overlay must keep a giant — and well-expanding — component
-  // throughout.  run_churn re-prunes EVERY round through the runner's
-  // persistent engine, so the pruned-survivor column is new information
+  // throughout.  run_churn re-prunes EVERY round on the one engine the
+  // call leases, so the pruned-survivor column is new information
   // the old simulate_churn-only path never had.
   std::cout << "\nongoing churn (p_leave = 0.02/step, p_join = 0.18/step, 80 steps),\n"
                "re-pruned per round through one persistent engine\n\n";

@@ -37,17 +37,17 @@ int main(int argc, char** argv) {
   // 2. Bind a runner.  At first use it builds the graph once and
   //    resolves alpha (the measured edge expansion of the fault-free
   //    mesh — a real cut, so a value the graph actually has) and epsilon
-  //    (Theorem 3.4's 1/(2*max_degree)), and it owns one PruneEngine
-  //    whose workspace will be reused by every run below.
+  //    (Theorem 3.4's 1/(2*max_degree)).  Each run leases a PruneEngine
+  //    from the process-wide cache, so its workspace outlives the run.
   ScenarioRunner runner(scenario);
   std::cout << "network: " << runner.graph().summary() << "\n"
             << "alpha_e = " << runner.alpha() << ", eps = " << runner.epsilon()
             << "  ->  culling threshold alpha*eps = " << runner.alpha() * runner.epsilon()
             << "\n";
 
-  // 3. Execute.  One call injects the faults, runs the engine-backed
-  //    Prune2 loop, and measures the requested metrics.
-  const ScenarioRun run = runner.run_once();
+  // 3. Execute repetition 0.  One call injects the faults, runs the
+  //    engine-backed Prune2 loop, and measures the requested metrics.
+  const ScenarioRun run = runner.run_isolated(scenario.fault, 0);
   std::cout << "faults: " << run.faults << " nodes failed, " << run.alive.count()
             << " survive\n"
             << "prune2: culled " << run.prune.total_culled << " vertices in "

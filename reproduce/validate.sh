@@ -9,7 +9,7 @@
 # Environment:
 #   REQUIRE_WARM=1   additionally assert zero recomputation (misses=0,
 #                    alpha_measured=0 and graph_builds=0) -- i.e. every
-#                    cell, every measured alpha and every default epsilon
+#                    cell, and with it every entry's alpha and epsilon,
 #                    was served from STORE_DIR, and no topology was built.
 #                    Use on a second pass to prove the store replays the
 #                    campaign.

@@ -304,20 +304,6 @@ void check_sweep(const Scenario& scenario, const SweepSpec& sweep) {
   return campaign;
 }
 
-/// Two consecutive cache deltas as one: the counters add up and the
-/// gauges are the later delta's (the later snapshot's values).
-[[nodiscard]] EngineCacheStats followed_by(EngineCacheStats first, const EngineCacheStats& later) {
-  first.leases += later.leases;
-  first.engine_hits += later.engine_hits;
-  first.engine_builds += later.engine_builds;
-  first.graph_hits += later.graph_hits;
-  first.graph_builds += later.graph_builds;
-  first.evictions += later.evictions;
-  first.bytes_resident = later.bytes_resident;
-  first.peak_bytes = later.peak_bytes;
-  return first;
-}
-
 }  // namespace
 
 Campaign campaign_from_json(const std::string& text) {
@@ -450,25 +436,19 @@ CampaignPlan::CampaignPlan(const Campaign& campaign, int threads) : campaign_(ca
   }
 
   // One runner per entry, serially: a runner leases its graph, measures
-  // α and reads the max degree at first use (runner()), so construction
-  // builds nothing, and a store-served plan reads α and the max degree
-  // from their records instead.  The registry's vertex-count contract
-  // gives n without a build (and validates the topology params early).
+  // α and reads the max degree at first use, so construction builds
+  // nothing, and a store-served entry takes α and ε from its cells
+  // instead.  The registry's vertex-count contract gives n without a
+  // build (and validates the topology params early).
   const std::size_t num_entries = campaign_.entries.size();
   runners_.reserve(num_entries);
-  alpha_keys_.resize(num_entries);
-  graph_keys_.resize(num_entries);
   sizes_.reserve(num_entries);
-  for (std::size_t e = 0; e < num_entries; ++e) {
-    const Scenario& scenario = campaign_.entries[e].scenario;
+  for (const CampaignEntry& entry : campaign_.entries) {
+    const Scenario& scenario = entry.scenario;
     runners_.push_back(std::make_unique<ScenarioRunner>(scenario));
     sizes_.push_back(
         TopologyRegistry::instance().expected_n(scenario.topology.name, scenario.topology.params));
-    if (runners_[e]->measures_alpha()) alpha_keys_[e] = store_alpha_key(scenario);
-    if (runners_[e]->needs_max_degree()) graph_keys_[e] = store_graph_key(scenario);
   }
-  alpha_resolved_.assign(num_entries, 0);
-  degree_resolved_.assign(num_entries, 0);
 
   // Flatten the schedule.  A monotone sweep chain is ONE serial cell (its
   // points are order-dependent); everything else is one cell per run.
@@ -569,29 +549,6 @@ std::size_t CampaignPlan::cell_slot(const CampaignJob& job) const {
                               : static_cast<std::size_t>(job.rep);
 }
 
-const ScenarioRunner& CampaignPlan::runner(std::size_t e) const {
-  const ScenarioRunner& runner = *runners_[e];
-  const bool measures = !alpha_keys_[e].empty();
-  const bool reads_degree = !graph_keys_[e].empty();
-  if (!measures && !reads_degree) return runner;
-  // The runner measures α and reads the max degree once each (siblings
-  // wait inside); the first caller past them counts and commits what
-  // attach_store did not serve.
-  const double alpha = measures ? runner.alpha() : 0.0;
-  const vid max_degree = reads_degree ? runner.max_degree() : 0;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (measures && alpha_resolved_[e] == 0) {
-    alpha_resolved_[e] = 1;
-    ++alpha_measured_;
-    if (store_ != nullptr) store_->put(alpha_keys_[e], encode_alpha(alpha));
-  }
-  if (reads_degree && degree_resolved_[e] == 0) {
-    degree_resolved_[e] = 1;
-    if (store_ != nullptr) store_->put(graph_keys_[e], encode_max_degree(max_degree));
-  }
-  return runner;
-}
-
 std::size_t CampaignPlan::expected_runs(std::size_t i) const {
   const CampaignJob& job = this->job(i);
   FNE_REQUIRE(job.kind != CampaignJob::Kind::kMetric,
@@ -604,7 +561,7 @@ std::size_t CampaignPlan::expected_runs(std::size_t i) const {
 std::vector<ScenarioRun> CampaignPlan::compute_cell(std::size_t i) const {
   const CampaignJob& job = this->job(i);
   const CampaignEntry& entry = campaign_.entries[job.entry];
-  const ScenarioRunner& runner = this->runner(job.entry);
+  const ScenarioRunner& runner = *runners_[job.entry];
   switch (job.kind) {
     case CampaignJob::Kind::kChain:
       return runner.run_chain(*entry.sweep);
@@ -631,7 +588,7 @@ MetricRecord CampaignPlan::compute_metric(std::size_t i,
   const CampaignJob& job = this->job(i);
   FNE_REQUIRE(job.kind == CampaignJob::Kind::kMetric,
               "campaign plan: compute_metric on a cell job");
-  return runner(job.entry).compute_metric_request(parent_run, job.request);
+  return runners_[job.entry]->compute_metric_request(parent_run, job.request);
 }
 
 ScenarioRun CampaignPlan::parent_run(std::size_t metric_job) const {
@@ -710,26 +667,6 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
   FNE_REQUIRE(store_ == nullptr, "campaign plan: store already attached");
   store_ = &store;
   store_before_ = store.stats();
-  // α and graph records first: a served α is never measured and a served
-  // max degree never leases the graph, by any later job.  An absent or
-  // unusable record leaves them to runner(), which resolves them at first
-  // use and commits them.
-  for (std::size_t e = 0; e < runners_.size(); ++e) {
-    if (!alpha_keys_[e].empty()) {
-      const std::optional<std::string> payload = store.load(alpha_keys_[e]);
-      const std::optional<double> alpha =
-          payload.has_value() ? decode_alpha(*payload) : std::nullopt;
-      if (alpha.has_value() && runners_[e]->set_measured_alpha(*alpha)) alpha_resolved_[e] = 1;
-    }
-    if (!graph_keys_[e].empty()) {
-      const std::optional<std::string> payload = store.load(graph_keys_[e]);
-      const std::optional<vid> max_degree =
-          payload.has_value() ? decode_max_degree(*payload) : std::nullopt;
-      if (max_degree.has_value() && runners_[e]->set_max_degree(*max_degree)) {
-        degree_resolved_[e] = 1;
-      }
-    }
-  }
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const CampaignJob& job = jobs_[i];
     if (job.kind == CampaignJob::Kind::kMetric || job_done_[i] != 0) continue;
@@ -740,6 +677,9 @@ std::uint64_t CampaignPlan::attach_store(ResultStore& store) {
     // never crash.  Committed cells are always complete, so their metric
     // children complete with them.
     if (!runs.has_value() || runs->size() != expected_runs(i)) continue;
+    // The first served cell of an entry hands its α and ε to the runner,
+    // so the entry's missing cells prune with these exact bits.
+    (void)runners_[job.entry]->set_alpha_epsilon(runs->front().alpha, runs->front().epsilon);
     if (job.kind == CampaignJob::Kind::kChain) {
       results_[job.entry] = std::move(*runs);
     } else {
@@ -765,20 +705,15 @@ std::uint64_t CampaignPlan::cells_served() const {
 
 CampaignReport CampaignPlan::finish(int threads, double millis,
                                     const EngineCacheStats& cache_delta) {
-  // Resolve α and ε before locking: an entry no job computed (every cell
-  // store-served) measures α or leases its graph here only when no record
-  // served it.  That lease is cache work of this run, which the caller's
-  // delta (taken before this call) cannot include, so it is added below.
-  const EngineCacheStats cache_before = EngineCache::instance().stats();
-  for (std::size_t e = 0; e < runners_.size(); ++e) (void)runner(e);
-  const EngineCacheStats resolve_delta = EngineCache::instance().stats() - cache_before;
   const std::lock_guard<std::mutex> lock(mutex_);
   FNE_REQUIRE(remaining_ == 0, "campaign plan: finish() before all jobs merged");
   // Per-entry engine stats fold from the runs themselves (run.engine is
   // the delta around each engine.run call): placement-independent like
   // runner totals, but ALSO reproducible from stored records — a fully
   // store-served entry reports the same stats as a computed one, keeping
-  // the deterministic payload byte-identical.
+  // the deterministic payload byte-identical.  α and ε come from the
+  // first run the same way: every run of an entry carries the same bits,
+  // whether it was served, computed here or received from a dist worker.
   CampaignReport report;
   report.name = campaign_.name;
   report.threads = threads;
@@ -787,10 +722,10 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
     ScenarioReport sr;
     sr.scenario = runners_[e]->scenario();
     sr.sweep = campaign_.entries[e].sweep;
-    sr.alpha = runners_[e]->alpha();
-    sr.epsilon = runners_[e]->epsilon();
     sr.n = sizes_[e];
     sr.runs = std::move(results_[e]);
+    sr.alpha = sr.runs.front().alpha;
+    sr.epsilon = sr.runs.front().epsilon;
     for (const ScenarioRun& r : sr.runs) {
       sr.engine += r.engine;
       sr.millis += r.millis;
@@ -798,7 +733,7 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
     report.scenarios.push_back(std::move(sr));
   }
   report.millis = millis;
-  report.cache = followed_by(cache_delta, resolve_delta);
+  report.cache = cache_delta;
   if (store_ != nullptr) {
     const StoreStats store_after = store_->stats();
     report.store_enabled = true;
@@ -810,7 +745,9 @@ CampaignReport CampaignPlan::finish(int threads, double millis,
     report.store.corrupt_records = store_after.corrupt_records;
     report.store.truncated_bytes = store_after.truncated_bytes;
     report.store.rotated_files = store_after.rotated_files;
-    report.store.alpha_measured = alpha_measured_;
+    report.store.alpha_measured = static_cast<std::uint64_t>(
+        std::count_if(runners_.begin(), runners_.end(),
+                      [](const auto& runner) { return runner->measured_alpha(); }));
   }
   return report;
 }

@@ -127,9 +127,11 @@ struct CampaignStoreStats {
   std::uint64_t corrupt_records = 0;  ///< checksum-skipped frames (store lifetime)
   std::uint64_t truncated_bytes = 0;  ///< torn-tail bytes dropped at open
   std::uint64_t rotated_files = 0;    ///< foreign/versioned logs moved aside
-  /// Measured-α entries (prune.alpha <= 0) whose α had to be measured
-  /// this run because the store held no usable α record.  Not a cell
-  /// count: hits + misses still add up to the cells.
+  /// Measured-α entries (prune.alpha <= 0) whose α this process measured
+  /// during the run: entries with a cell computed here and no cell served
+  /// from the store.  A fully served run, or a dist coordinator whose
+  /// workers computed the cells, measures none.  Not a cell count: hits +
+  /// misses still add up to the cells.
   std::uint64_t alpha_measured = 0;
 };
 
@@ -175,14 +177,16 @@ struct CampaignJob {
 /// thread: each entry's runner leases its graph at first use.
 ///
 /// Split of responsibilities:
-///   compute_cell / compute_metric  — pure, any thread; the first to
-///     need a measured α or a max degree that no store served resolves
-///     it (once per plan) and commits it to the attached store;
+///   compute_cell / compute_metric  — pure, any thread; an entry's
+///     runner measures α and reads the max degree at first need, once
+///     per plan, unless a served cell supplied them;
 ///   accept_cell / accept_metric    — synchronized merge, idempotent
 ///     (first write wins; a duplicate or late completion returns false
 ///     and changes nothing), committing completed cells to the attached
 ///     store;
-///   finish                         — assemble the CampaignReport (once).
+///   finish                         — assemble the CampaignReport (once),
+///     taking each entry's α and ε from its first merged run, so it
+///     leases no graph and measures nothing.
 ///
 /// Construction also validates every entry's sweep (declared param;
 /// monotone: declared monotone, strictly ascending values), so a bad
@@ -232,13 +236,12 @@ class CampaignPlan {
   [[nodiscard]] bool all_done() const;
 
   /// Attach a store: serve every already-committed cell from disk (their
-  /// metric jobs complete with them), every measured-α entry's α from its
-  /// α record and every default-ε edge entry's max degree from its graph
-  /// record, and commit cells as they complete (and α and the max degree
-  /// as they are resolved) from here on.  Returns the number of cells
-  /// served.  A record that fails to decode or has the wrong run count
-  /// degrades to a miss; an unusable α record degrades to measuring α,
-  /// an unusable graph record to leasing the graph.
+  /// metric jobs complete with them) and commit cells as they complete
+  /// from here on.  A served cell's runs carry the α and ε they pruned
+  /// with; the entry's runner takes them, so the entry's missing cells
+  /// neither measure α nor read the max degree.  Returns the number of
+  /// cells served.  A record that fails to decode or has the wrong run
+  /// count degrades to a miss.
   std::uint64_t attach_store(ResultStore& store);
   [[nodiscard]] std::uint64_t cells_served() const;
   [[nodiscard]] std::uint64_t num_cells() const noexcept { return num_cells_; }
@@ -250,17 +253,11 @@ class CampaignPlan {
 
  private:
   [[nodiscard]] std::size_t cell_slot(const CampaignJob& job) const;
-  /// Entry e's runner with α and ε resolved: a measured α or a max
-  /// degree the store did not serve is measured or read from the graph
-  /// here, once, and committed to the store.
-  [[nodiscard]] const ScenarioRunner& runner(std::size_t e) const;
   void commit_locked(std::size_t cell);
 
   Campaign campaign_;
   std::vector<std::unique_ptr<ScenarioRunner>> runners_;
-  std::vector<std::string> alpha_keys_;  ///< per entry; empty unless α is measured
-  std::vector<std::string> graph_keys_;  ///< per entry; empty unless ε reads the max degree
-  std::vector<vid> sizes_;               ///< per entry: n, from the registry contract
+  std::vector<vid> sizes_;  ///< per entry: n, from the registry contract
   std::vector<CampaignJob> jobs_;
   std::vector<std::vector<std::size_t>> children_;  ///< cell -> metric jobs
   std::vector<std::vector<ScenarioRun>> results_;   ///< per entry
@@ -271,9 +268,6 @@ class CampaignPlan {
   std::vector<char> job_done_;
   std::vector<std::size_t> missing_metrics_;  ///< per job (cells only)
   std::vector<char> served_;                  ///< cell came from the store
-  mutable std::vector<char> alpha_resolved_;  ///< per entry: α served or measured
-  mutable std::vector<char> degree_resolved_; ///< per entry: max degree served or read
-  mutable std::uint64_t alpha_measured_ = 0;  ///< α measured by runner()
   std::size_t remaining_ = 0;
   std::uint64_t served_cells_ = 0;
   ResultStore* store_ = nullptr;

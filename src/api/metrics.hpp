@@ -44,9 +44,7 @@ struct ScenarioRun;  // api/runner.hpp
 struct MetricContext {
   const Graph& graph;        ///< fault-free topology
   const Scenario& scenario;  ///< as resolved (topology/fault/prune specs)
-  const ScenarioRun& run;    ///< completed repetition (prune result, alive mask)
-  double alpha = 0.0;
-  double epsilon = 0.0;
+  const ScenarioRun& run;    ///< completed repetition (prune result, α, ε, alive mask)
   std::uint64_t seed = 0;
 };
 

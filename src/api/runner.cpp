@@ -65,32 +65,10 @@ const Graph& ScenarioRunner::graph() const {
   return *graph_;
 }
 
-vid ScenarioRunner::max_degree() const {
-  const std::lock_guard<std::mutex> lock(degree_mutex_);
-  if (!max_degree_.has_value()) max_degree_ = graph().max_degree();
-  return *max_degree_;
-}
-
-bool ScenarioRunner::set_max_degree(vid max_degree) {
-  FNE_REQUIRE(needs_max_degree(), "scenario '" + scenario_.name +
-                                      "': a supplied max degree needs edge expansion and "
-                                      "prune.epsilon <= 0");
-  const std::lock_guard<std::mutex> lock(degree_mutex_);
-  if (max_degree_.has_value()) return false;
-  max_degree_ = max_degree;
-  return true;
-}
-
-double ScenarioRunner::epsilon() const {
-  if (scenario_.prune.epsilon > 0.0) return scenario_.prune.epsilon;
-  if (scenario_.prune.kind == ExpansionKind::Node) return 0.5;
-  return 1.0 / (2.0 * static_cast<double>(max_degree()));
-}
-
 double ScenarioRunner::alpha() const {
-  if (!measures_alpha()) return scenario_.prune.alpha;
-  const std::lock_guard<std::mutex> lock(alpha_mutex_);
-  if (!alpha_resolved_) {
+  if (scenario_.prune.alpha > 0.0) return scenario_.prune.alpha;
+  const std::lock_guard<std::mutex> lock(resolve_mutex_);
+  if (!alpha_.has_value()) {
     // Measure: the constructive upper bound is a real cut of the
     // fault-free graph, so α is a value the graph actually has.  A throw
     // leaves α unresolved, so every caller measures and throws.
@@ -102,20 +80,32 @@ double ScenarioRunner::alpha() const {
                                     "': measured alpha is 0 (disconnected topology?); "
                                     "set prune.alpha explicitly");
     alpha_ = measured;
-    alpha_resolved_ = true;
+    measured_alpha_ = true;
   }
-  return alpha_;
+  return *alpha_;
 }
 
-bool ScenarioRunner::set_measured_alpha(double alpha) {
-  FNE_REQUIRE(measures_alpha() && alpha > 0.0,
-              "scenario '" + scenario_.name + "': a supplied alpha needs prune.alpha <= 0 "
-              "and a value > 0");
-  const std::lock_guard<std::mutex> lock(alpha_mutex_);
-  if (alpha_resolved_) return false;
+double ScenarioRunner::epsilon() const {
+  if (scenario_.prune.epsilon > 0.0) return scenario_.prune.epsilon;
+  if (scenario_.prune.kind == ExpansionKind::Node) return 0.5;
+  const std::lock_guard<std::mutex> lock(resolve_mutex_);
+  if (!epsilon_.has_value()) epsilon_ = 1.0 / (2.0 * static_cast<double>(graph().max_degree()));
+  return *epsilon_;
+}
+
+bool ScenarioRunner::set_alpha_epsilon(double alpha, double epsilon) {
+  FNE_REQUIRE(alpha > 0.0 && epsilon > 0.0,
+              "scenario '" + scenario_.name + "': a supplied alpha and epsilon must be > 0");
+  const std::lock_guard<std::mutex> lock(resolve_mutex_);
+  if (alpha_.has_value() || epsilon_.has_value()) return false;
   alpha_ = alpha;
-  alpha_resolved_ = true;
+  epsilon_ = epsilon;
   return true;
+}
+
+bool ScenarioRunner::measured_alpha() const {
+  const std::lock_guard<std::mutex> lock(resolve_mutex_);
+  return measured_alpha_;
 }
 
 EngineLease ScenarioRunner::lease_engine() const {
@@ -127,21 +117,10 @@ EngineLease ScenarioRunner::lease_engine() const {
                                        scenario_.prune.kind);
 }
 
-PruneEngine& ScenarioRunner::primary_engine() {
-  if (!primary_) primary_ = lease_engine();
-  return primary_.engine();
-}
-
 PruneEngineOptions ScenarioRunner::engine_options(std::uint64_t finder_seed) const {
   PruneEngineOptions opts;
-  if (scenario_.prune.fast) opts = PruneEngineOptions::fast();
-  // fast() only toggles switches; layer the scenario's finder knobs on
-  // top, then re-apply the switches so fast mode survives the overwrite.
-  const bool fast = scenario_.prune.fast;
   opts.finder = scenario_.prune.finder;
-  opts.finder.warm_start = opts.finder.warm_start || fast;
-  opts.finder.stale_sweep_first = opts.finder.stale_sweep_first || fast;
-  opts.finder.early_exit = opts.finder.early_exit || fast;
+  opts.finder.fast = opts.finder.fast || scenario_.prune.fast;
   opts.finder.seed = finder_seed;
   opts.max_iterations = scenario_.prune.max_iterations;
   return opts;
@@ -186,7 +165,7 @@ MetricRecord ScenarioRunner::compute_metric_request(const ScenarioRun& run,
   FNE_REQUIRE(request_index < requests.size(),
               "scenario '" + scenario_.name + "': metric request index out of range");
   const MetricRequest& request = requests[request_index];
-  const MetricContext ctx{graph(),  scenario_, run, alpha(), epsilon(),
+  const MetricContext ctx{graph(), scenario_, run,
                           derive_seed(scenario_.seed, 6 + request_index,
                                       static_cast<std::uint64_t>(run.repetition))};
   return MetricsRegistry::instance().compute(request.name, ctx, request.params);
@@ -206,25 +185,21 @@ ScenarioRun ScenarioRunner::run_point(PruneEngine& engine, const FaultSpec& faul
   // restricted to this point's mask; run.alive records the actual engine
   // input so verify_prune_trace certifies the run as usual.
   run.alive = chain_start == nullptr ? std::move(model) : (*chain_start & model);
-  const double alpha = this->alpha();
-  const double epsilon = this->epsilon();
-  run.threshold = alpha * epsilon;
+  run.alpha = alpha();
+  run.epsilon = epsilon();
+  run.threshold = run.alpha * run.epsilon;
   run.finder_seed = derive_seed(scenario_.seed, 4, static_cast<std::uint64_t>(rep));
 
   // Snapshot the engine's counters around the run: run.engine is the
-  // work THIS prune performed, regardless of which surface (primary
-  // lease, per-job lease, monotone chain point) drove it.
+  // work THIS prune performed, whether a single repetition or a monotone
+  // chain point drove it.
   const EngineStats before = engine.stats();
   Timer timer;
-  run.prune = engine.run(run.alive, alpha, epsilon, engine_options(run.finder_seed));
+  run.prune = engine.run(run.alive, run.alpha, run.epsilon, engine_options(run.finder_seed));
   run.millis = timer.millis();
   run.engine = engine.stats() - before;
   measure(run, defer_split_metrics);
   return run;
-}
-
-ScenarioRun ScenarioRunner::run_once(int rep) {
-  return run_point(primary_engine(), scenario_.fault, rep);
 }
 
 ScenarioRun ScenarioRunner::run_isolated(const FaultSpec& fault, int rep) const {
@@ -259,8 +234,9 @@ std::vector<ScenarioRun> ScenarioRunner::run_chain(const SweepSpec& sweep) const
   return runs;
 }
 
-ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
-  PruneEngine& engine = primary_engine();
+ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) const {
+  EngineLease lease = lease_engine();
+  PruneEngine& engine = lease.engine();
   ChurnProcess process(graph(), options);
   ChurnRunTrace trace;
   trace.rounds.reserve(static_cast<std::size_t>(options.steps));
@@ -279,6 +255,7 @@ ChurnRunTrace ScenarioRunner::run_churn(const ChurnOptions& options) {
     trace.rounds.push_back(round);
   }
   trace.final_alive = process.alive();
+  trace.engine = lease.stats_delta();
   return trace;
 }
 

@@ -3,28 +3,25 @@
 //
 // A runner is bound to one Scenario.  It leases its fault-free graph from
 // the process-wide EngineCache (api/executor.hpp) and resolves ε and α
-// at first use, not at construction: a store-served campaign needs none
-// of them beyond what its store records already hold, so building one
-// costs no graph build and no expansion_bracket.
+// at first use, not at construction: a store-served campaign reads both
+// from its cells (ScenarioRun::alpha / epsilon), so building one costs
+// no graph build and no expansion_bracket.
 // It schedules nothing itself — CampaignPlan (api/campaign.hpp) is the
 // one scheduler, and every batch (repetitions, sweeps, ad-hoc CLI runs)
-// is a campaign whose cells call the units below.  The runner owns one
-// PRIMARY engine lease for the single-shot surfaces (run_once,
-// run_churn) whose workspace — Krylov basis, BFS queues, degree tables,
-// cached Fiedler vector — survives across calls; the campaign units
-// (run_isolated, run_chain) lease one engine per job so the buffers
-// amortize across every scenario in the process that shares the
-// topology.
+// is a campaign whose cells call the units below.  The runner holds no
+// engine: every unit (run_isolated, run_chain, run_churn) leases one
+// engine per call, so the buffers — Krylov basis, BFS queues, degree
+// tables — amortize across every scenario in the process that shares
+// the topology.
 //
 // Determinism contract: a ScenarioRunner is a pure function of its
 // Scenario.  Repetition r derives its fault seed from (scenario.seed, r)
-// via splitmix64 and its finder seed likewise, and every campaign unit
-// runs on an engine whose warm state was dropped at lease time
-// (EngineCache contract), so each ScenarioRun is a pure function of
-// (scenario, fault, rep): bit-identical for ANY thread count and any
-// cache-hit pattern.  run_once/run_churn keep the cross-run Fiedler
-// cache on the primary lease — churn rounds are serially dependent
-// anyway and profit most from it.
+// via splitmix64 and its finder seed likewise, and every unit runs on an
+// engine whose warm state was dropped at lease time (EngineCache
+// contract), so each ScenarioRun is a pure function of (scenario, fault,
+// rep): bit-identical for ANY thread count and any cache-hit pattern.
+// Within one call the engine keeps its cross-run Fiedler cache: a chain's
+// points and a churn's rounds are serially dependent and profit most.
 //
 // Monotone sweeps (DESIGN.md §8): for fault models whose registry entry
 // declares the swept param monotone (same seed, larger value -> alive
@@ -61,6 +58,8 @@ struct ScenarioRun {
   VertexSet alive;         ///< pre-prune engine input (== fault-model survivors,
                            ///< except monotone sweep points: chained start mask)
   PruneResult prune;
+  double alpha = 0.0;      ///< α the prune used (ScenarioRunner::alpha())
+  double epsilon = 0.0;    ///< ε the prune used (ScenarioRunner::epsilon())
   double threshold = 0.0;  ///< α·ε actually used
   FragmentationProfile fragmentation;           ///< of prune.survivors (if requested)
   std::optional<ExpansionBracket> expansion;    ///< of prune.survivors (if requested)
@@ -83,7 +82,7 @@ struct ScenarioRun {
   }
 };
 
-/// One churn round executed through the runner's persistent engine.
+/// One churn round, re-pruned on the call's engine.
 struct ChurnRoundRun {
   ChurnStep churn;         ///< the raw process observables (parity with simulate_churn)
   vid survivors = 0;       ///< |H| after re-pruning this round's alive mask
@@ -97,6 +96,7 @@ struct ChurnRunTrace {
   std::vector<ChurnRoundRun> rounds;
   VertexSet final_alive;       ///< churn process state after the last round
   VertexSet final_survivors;   ///< prune survivors of the last round
+  EngineStats engine;          ///< work the call's engine did over all rounds
   [[nodiscard]] double total_prune_millis() const;
 };
 
@@ -105,7 +105,7 @@ struct ChurnRunTrace {
 /// keys (store/key.hpp), which name the build seed explicitly.
 [[nodiscard]] std::uint64_t scenario_build_seed(const Scenario& scenario);
 /// The expansion_bracket seed a runner measures α with (domain-1
-/// stream), named by the result store's α keys (store/key.hpp).
+/// stream).
 [[nodiscard]] std::uint64_t scenario_alpha_seed(const Scenario& scenario);
 
 struct SweepSpec;  // api/campaign.hpp
@@ -128,39 +128,15 @@ class ScenarioRunner {
   /// scenario, here and at every later call.
   [[nodiscard]] double alpha() const;
   /// ε every unit prunes with: prune.epsilon when > 0, else 0.5 for
-  /// node expansion, else 1/(2·max_degree()).
+  /// node expansion, else 1/(2·max degree), read from graph() once.
   [[nodiscard]] double epsilon() const;
-  /// True when epsilon() reads the graph's max degree (edge expansion
-  /// with prune.epsilon <= 0).
-  [[nodiscard]] bool needs_max_degree() const noexcept {
-    return scenario_.prune.epsilon <= 0.0 && scenario_.prune.kind == ExpansionKind::Edge;
-  }
-  /// The fault-free graph's max degree: the supplied value, else read
-  /// from graph() once, on first call.
-  [[nodiscard]] vid max_degree() const;
-  /// Supply the max degree from elsewhere (the campaign's result store)
-  /// so epsilon() never leases the graph.  Only for runners that need
-  /// it; returns false, changing nothing, when it was already resolved.
-  bool set_max_degree(vid max_degree);
-  /// True when alpha() measures (prune.alpha <= 0).
-  [[nodiscard]] bool measures_alpha() const noexcept { return scenario_.prune.alpha <= 0.0; }
-  /// Supply the measured α from elsewhere (the campaign's result store)
-  /// so alpha() never measures.  Only for measuring runners and α > 0;
-  /// returns false, changing nothing, when α was already resolved.
-  bool set_measured_alpha(double alpha);
-
-  /// Work accrued on the runner's PRIMARY engine lease (run_once,
-  /// run_churn).  Deltas since the lease was taken, so a cache-served
-  /// engine's prior history never shows up.  Campaign units report
-  /// their work per run (ScenarioRun::engine) instead.
-  [[nodiscard]] EngineStats engine_stats() const {
-    return primary_ ? primary_.stats_delta() : EngineStats{};
-  }
-
-  /// Execute repetition `rep`: inject faults, prune through the primary
-  /// engine, measure the requested metrics.  Keeps the engine's cross-run
-  /// warm cache (legacy single-shot semantics).
-  [[nodiscard]] ScenarioRun run_once(int rep = 0);
+  /// Supply the α and ε a stored cell pruned with (ScenarioRun::alpha /
+  /// epsilon), so neither is measured or read from the graph.  Returns
+  /// false, changing nothing, when either was already resolved.
+  bool set_alpha_epsilon(double alpha, double epsilon);
+  /// True once alpha() has measured α on this runner (not when
+  /// prune.alpha > 0 or α was supplied).
+  [[nodiscard]] bool measured_alpha() const;
 
   /// Execute repetition `rep` on a freshly leased cache engine (warm
   /// state dropped at lease): a pure function of (scenario, fault, rep),
@@ -177,9 +153,9 @@ class ScenarioRunner {
   [[nodiscard]] ScenarioRun run_isolated_deferred(const FaultSpec& fault, int rep) const;
 
   /// Compute metric request `request_index` for a completed run, with the
-  /// SAME derived seed the inline path uses — the record is bit-identical
-  /// whether it was computed inline, deferred locally, or on a remote
-  /// worker.  Pure and thread-safe.
+  /// run's α and ε and the SAME derived seed the inline path uses — the
+  /// record is bit-identical whether it was computed inline, deferred
+  /// locally, or on a remote worker.  Pure and thread-safe.
   [[nodiscard]] MetricRecord compute_metric_request(const ScenarioRun& run,
                                                     std::size_t request_index) const;
 
@@ -191,15 +167,14 @@ class ScenarioRunner {
   /// before any job runs; this unit trusts it.
   [[nodiscard]] std::vector<ScenarioRun> run_chain(const SweepSpec& sweep) const;
 
-  /// Drive a churn process and re-prune EVERY round through the
-  /// primary engine.  The fault stream is bit-identical to
+  /// Drive a churn process and re-prune EVERY round on ONE freshly
+  /// leased engine.  The fault stream is bit-identical to
   /// simulate_churn(graph(), options) — the scenario's fault spec is not
   /// used here.
-  [[nodiscard]] ChurnRunTrace run_churn(const ChurnOptions& options);
+  [[nodiscard]] ChurnRunTrace run_churn(const ChurnOptions& options) const;
 
  private:
   [[nodiscard]] PruneEngineOptions engine_options(std::uint64_t finder_seed) const;
-  [[nodiscard]] PruneEngine& primary_engine();
   [[nodiscard]] EngineLease lease_engine() const;
   /// One repetition on an explicit engine and fault spec — the unit of
   /// work every surface reduces to.  Pure given (scenario, fault, rep)
@@ -213,18 +188,16 @@ class ScenarioRunner {
   void measure(ScenarioRun& run, bool defer_split_metrics) const;
 
   Scenario scenario_;
-  // Mutexes plus flags, not std::call_once: libstdc++'s call_once can
-  // leave the other waiters blocked for good when the callable throws,
-  // and both the graph lease (bad params) and the α measurement
+  // Mutexes plus null checks, not std::call_once: libstdc++'s call_once
+  // can leave the other waiters blocked for good when the callable
+  // throws, and both the graph lease (bad params) and the α measurement
   // (disconnected topology) can throw.
   mutable std::mutex graph_mutex_;
   mutable std::shared_ptr<const Graph> graph_;  ///< null until the first graph() call
-  mutable std::mutex degree_mutex_;
-  mutable std::optional<vid> max_degree_;  ///< read from graph() or supplied
-  mutable std::mutex alpha_mutex_;
-  mutable bool alpha_resolved_ = false;  ///< measured or supplied (measuring runners)
-  mutable double alpha_ = 0.0;
-  EngineLease primary_;  ///< leased lazily; held for the runner's lifetime
+  mutable std::mutex resolve_mutex_;            ///< guards the three fields below
+  mutable std::optional<double> alpha_;         ///< measured or supplied
+  mutable std::optional<double> epsilon_;       ///< read from the graph or supplied
+  mutable bool measured_alpha_ = false;
 };
 
 }  // namespace fne

@@ -44,7 +44,7 @@ namespace fne {
 /// Bump when the frame layout or any payload schema changes.  Carried in
 /// HELLO/WELCOME via the campaign fingerprint mix so mismatched builds
 /// refuse each other instead of trading garbage.
-inline constexpr std::uint32_t kWireProtocolVersion = 1;
+inline constexpr std::uint32_t kWireProtocolVersion = 2;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,

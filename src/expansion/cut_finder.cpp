@@ -100,7 +100,7 @@ std::optional<CutWitness> find_violating_set(const Graph& g, const VertexSet& al
   //    skips the eigensolve entirely.  Every candidate is validated by
   //    accept() against real boundaries, so a stale ordering can never
   //    produce an invalid cull — only a different (still certified) one.
-  if (ws != nullptr && options.stale_sweep_first && ws->fiedler_valid &&
+  if (ws != nullptr && options.fast && ws->fiedler_valid &&
       ws->fiedler_vec.size() == g.num_vertices()) {
     SweepOptions sopts;
     sopts.early_exit_threshold = threshold;
@@ -163,7 +163,7 @@ std::optional<CutWitness> find_violating_set(const Graph& g, const VertexSet& al
   }
 
   const double sweep_exit =
-      options.early_exit ? threshold : std::numeric_limits<double>::infinity();
+      options.fast ? threshold : std::numeric_limits<double>::infinity();
 
   // 3. Fiedler sweep.  The sweep result doubles as the near-miss seed for
   //    step 5, so the (deterministic) eigensolve runs exactly once.
@@ -172,7 +172,7 @@ std::optional<CutWitness> find_violating_set(const Graph& g, const VertexSet& al
     FiedlerSweepOptions fso;
     fso.seed = options.seed;
     fso.ws = ws;
-    fso.warm_start = options.warm_start;
+    fso.warm_start = options.fast;
     fso.early_exit_threshold = sweep_exit;
     spectral_near = fiedler_sweep(g, alive, kind, fso);
     if (auto hit = accept(*spectral_near)) {

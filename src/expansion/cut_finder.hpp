@@ -20,17 +20,14 @@ struct CutFinderOptions {
   bool use_balls = true;
   bool use_exact = true;
 
-  // Fast-mode switches (honored only when a workspace is supplied; see
-  // DESIGN.md §5).  All default off: the default configuration is
-  // bit-identical to the stateless portfolio.  Turning them on changes
-  // WHICH violating set is found — never whether the found set is valid.
-  /// Warm-start the Fiedler eigensolve from the workspace's cached vector.
-  bool warm_start = false;
-  /// Before any eigensolve, sweep the ordering induced by the cached
-  /// (stale) Fiedler vector; a hit skips the solve entirely.
-  bool stale_sweep_first = false;
-  /// Let sweeps stop at the first candidate reaching the threshold.
-  bool early_exit = false;
+  /// Fast mode (honored only when a workspace is supplied; see DESIGN.md
+  /// §5): sweep the ordering induced by the workspace's cached (stale)
+  /// Fiedler vector before any eigensolve, warm-start the eigensolve from
+  /// that vector, and let sweeps stop at the first candidate reaching the
+  /// threshold.  Off by default, which is bit-identical to the stateless
+  /// portfolio.  On changes WHICH violating set is found — never whether
+  /// the found set is valid.
+  bool fast = false;
 };
 
 /// Find S ⊆ alive with |S| <= |alive|/2 violating the expansion threshold:

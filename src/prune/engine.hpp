@@ -35,9 +35,8 @@
 namespace fne {
 
 struct PruneEngineOptions {
-  /// The portfolio configuration, including the fast-mode switches
-  /// (finder.warm_start / finder.stale_sweep_first / finder.early_exit).
-  /// All default off: the engine then reproduces the stateless reference
+  /// The portfolio configuration, including fast mode (finder.fast).
+  /// Off by default: the engine then reproduces the stateless reference
   /// bit-for-bit.  On, the engine may cull *different* (equally valid)
   /// sets; use verify_prune_trace to certify the run.
   CutFinderOptions finder{};
@@ -47,9 +46,7 @@ struct PruneEngineOptions {
   /// All speed features on.
   [[nodiscard]] static PruneEngineOptions fast() {
     PruneEngineOptions o;
-    o.finder.warm_start = true;
-    o.finder.stale_sweep_first = true;
-    o.finder.early_exit = true;
+    o.finder.fast = true;
     return o;
   }
 };

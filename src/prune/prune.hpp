@@ -50,8 +50,8 @@ struct PruneOptions {
 ///
 /// This entry point is a thin wrapper over PruneEngine (prune/engine.hpp)
 /// in its deterministic configuration, which is bit-identical to the
-/// stateless reference loop below; fast-mode toggles in options.finder
-/// (warm_start / stale_sweep_first / early_exit) are honored.
+/// stateless reference loop below; fast mode in options.finder
+/// (finder.fast) is honored.
 [[nodiscard]] PruneResult prune(const Graph& g, const VertexSet& alive, double alpha,
                                 double epsilon, const PruneOptions& options = {});
 

@@ -28,9 +28,12 @@ void append_finder(std::string& key, const CutFinderOptions& finder) {
   key += ",use_spectral:" + std::to_string(finder.use_spectral ? 1 : 0);
   key += ",use_balls:" + std::to_string(finder.use_balls ? 1 : 0);
   key += ",use_exact:" + std::to_string(finder.use_exact ? 1 : 0);
-  key += ",warm:" + std::to_string(finder.warm_start ? 1 : 0);
-  key += ",stale:" + std::to_string(finder.stale_sweep_first ? 1 : 0);
-  key += ",early:" + std::to_string(finder.early_exit ? 1 : 0);
+  // Fast mode was once three switches: the key still prints all three
+  // fields, from the one bool, so its text did not change with the merge.
+  const std::string fast = std::to_string(finder.fast ? 1 : 0);
+  key += ",warm:" + fast;
+  key += ",stale:" + fast;
+  key += ",early:" + fast;
   // finder.seed is deliberately absent: the runner overrides it per
   // repetition from (scenario.seed, rep), which the key already names.
 }
@@ -52,8 +55,11 @@ void append_metrics(std::string& key, const MetricsSpec& metrics) {
   }
 }
 
-/// The fault-free graph: topology, params, cache salt and build seed.
-void append_graph(std::string& key, const Scenario& scenario) {
+}  // namespace
+
+std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
+                           int rep, const SweepSpec* monotone) {
+  std::string key = "fne-cell|schema=1";
   key += "|topo=" + scenario.topology.name;
   key += "|topo_params=" + scenario.topology.params.to_string();
   // Entries whose build output depends on state beyond the params (the
@@ -65,20 +71,9 @@ void append_graph(std::string& key, const Scenario& scenario) {
       topology_cache_salt(scenario.topology.name, scenario.topology.params);
   if (!topo_salt.empty()) key += "|topo_salt=" + topo_salt;
   key += "|build_seed=" + std::to_string(scenario_build_seed(scenario));
-}
-
-const char* kind_name(ExpansionKind kind) { return kind == ExpansionKind::Node ? "node" : "edge"; }
-
-}  // namespace
-
-std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_fault,
-                           int rep, const SweepSpec* monotone) {
-  std::string key = "fne-cell|schema=1";
-  append_graph(key, scenario);
   key += "|fault=" + effective_fault.name;
   key += "|fault_params=" + effective_fault.params.to_string();
-  key += "|kind=";
-  key += kind_name(scenario.prune.kind);
+  key += scenario.prune.kind == ExpansionKind::Node ? "|kind=node" : "|kind=edge";
   key += "|alpha=" + hexf(scenario.prune.alpha);
   key += "|epsilon=" + hexf(scenario.prune.epsilon);
   key += "|fast=" + std::to_string(scenario.prune.fast ? 1 : 0);
@@ -96,22 +91,6 @@ std::string store_cell_key(const Scenario& scenario, const FaultSpec& effective_
       key += hexf(v);
     }
   }
-  return key;
-}
-
-std::string store_alpha_key(const Scenario& scenario) {
-  std::string key = "fne-alpha|schema=1";
-  append_graph(key, scenario);
-  key += "|kind=";
-  key += kind_name(scenario.prune.kind);
-  key += "|bx=" + std::to_string(scenario.metrics.bracket_exact_limit);
-  key += "|bracket_seed=" + std::to_string(scenario_alpha_seed(scenario));
-  return key;
-}
-
-std::string store_graph_key(const Scenario& scenario) {
-  std::string key = "fne-graph|schema=1";
-  append_graph(key, scenario);
   return key;
 }
 

@@ -1,9 +1,6 @@
 #include "store/record.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 
 #include "store/codec.hpp"
 
@@ -45,6 +42,8 @@ void encode_run(ByteWriter& w, const ScenarioRun& run) {
   w.u64(run.fault_seed);
   w.u64(run.finder_seed);
   w.u64(run.faults);
+  w.f64(run.alpha);
+  w.f64(run.epsilon);
   w.f64(run.threshold);
   w.f64(run.millis);
   w.mask(run.alive);
@@ -83,6 +82,15 @@ void encode_run(ByteWriter& w, const ScenarioRun& run) {
   run.fault_seed = r.u64();
   run.finder_seed = r.u64();
   run.faults = static_cast<vid>(r.u64());
+  run.alpha = r.f64();
+  run.epsilon = r.f64();
+  // The threshold inputs every replay reports (CampaignPlan::finish takes
+  // them from the entry's first run): a value no computation can produce
+  // marks the record corrupt.
+  if (!std::isfinite(run.alpha) || !(run.alpha > 0.0) || !(run.epsilon > 0.0) ||
+      !(run.epsilon < 1.0)) {
+    return std::nullopt;
+  }
   run.threshold = r.f64();
   run.millis = r.f64();
   auto alive = r.mask();
@@ -155,44 +163,6 @@ std::optional<std::vector<ScenarioRun>> decode_runs(std::string_view payload) {
   // Trailing garbage means the record is not what the encoder wrote.
   if (!r.at_end()) return std::nullopt;
   return runs;
-}
-
-std::string encode_alpha(double alpha) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", alpha);
-  return buf;
-}
-
-std::optional<double> decode_alpha(std::string_view payload) {
-  if (payload.empty() || payload.size() >= 48) return std::nullopt;
-  const std::string text(payload);  // strtod needs the terminator
-  char* end = nullptr;
-  const double alpha = std::strtod(text.c_str(), &end);
-  // Canonical only: re-encoding must give the payload back, which also
-  // rejects leading blanks, decimal spellings and trailing bytes.
-  if (end != text.c_str() + text.size() || !std::isfinite(alpha) || alpha <= 0.0 ||
-      encode_alpha(alpha) != payload) {
-    return std::nullopt;
-  }
-  return alpha;
-}
-
-std::string encode_max_degree(vid max_degree) { return std::to_string(max_degree); }
-
-std::optional<vid> decode_max_degree(std::string_view payload) {
-  // At most 10 digits fit a u32; accumulate in 64 bits so none overflows.
-  if (payload.empty() || payload.size() > 10) return std::nullopt;
-  std::uint64_t value = 0;
-  for (const char c : payload) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  // Canonical only: rejects leading zeros and values past the vid range.
-  if (value > std::numeric_limits<vid>::max() ||
-      encode_max_degree(static_cast<vid>(value)) != payload) {
-    return std::nullopt;
-  }
-  return static_cast<vid>(value);
 }
 
 }  // namespace fne

@@ -6,7 +6,9 @@
 // flat little-endian byte string: doubles round-trip by bit pattern and
 // VertexSets by their packed words, so a decoded run is field-for-field
 // identical to the computed one and the campaign report built from it is
-// BYTE-identical (the store's core contract).
+// BYTE-identical (the store's core contract).  Each run carries the α
+// and ε it pruned with, so the cells alone give a replay its entries' α
+// and ε: no graph build and no α measurement.
 //
 // Two replay-sized fields are deliberately not stored and come back
 // empty: prune.culled (the per-iteration cull trace) and
@@ -17,7 +19,8 @@
 // history.
 //
 // decode_runs is total: any malformed input — short buffer, unknown
-// format, absurd lengths, bad mask padding — returns nullopt, never
+// format, absurd lengths, bad mask padding, an α that is not finite and
+// positive, an ε outside (0, 1) — returns nullopt, never
 // throws and never crashes.  The store treats that as a cache miss and
 // the campaign recomputes the cell.
 #pragma once
@@ -36,24 +39,9 @@ namespace fne {
 /// store's file-level schema version (result_store.hpp), which any layout
 /// change must also bump; the in-record format field is defense in depth
 /// against mixing layouts inside one log.
-inline constexpr std::uint32_t kCellRecordFormat = 1;
+inline constexpr std::uint32_t kCellRecordFormat = 2;
 
 [[nodiscard]] std::string encode_runs(std::span<const ScenarioRun> runs);
 [[nodiscard]] std::optional<std::vector<ScenarioRun>> decode_runs(std::string_view payload);
-
-/// A measured-α record (store/key.hpp store_alpha_key) holds α's exact
-/// bits as "%a" hexfloat text.  decode_alpha is total: it returns nullopt
-/// unless the payload is exactly what encode_alpha writes for some finite
-/// α > 0, so a damaged record degrades to measuring α again.
-[[nodiscard]] std::string encode_alpha(double alpha);
-[[nodiscard]] std::optional<double> decode_alpha(std::string_view payload);
-
-/// A graph record (store/key.hpp store_graph_key) holds the fault-free
-/// graph's max degree as canonical decimal text.  decode_max_degree is
-/// total: it returns nullopt unless the payload is exactly what
-/// encode_max_degree writes for some vid, so a damaged record degrades
-/// to leasing the graph again.
-[[nodiscard]] std::string encode_max_degree(vid max_degree);
-[[nodiscard]] std::optional<vid> decode_max_degree(std::string_view payload);
 
 }  // namespace fne

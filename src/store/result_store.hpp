@@ -42,7 +42,7 @@ namespace fne {
 
 /// Bump whenever the record codec (store/record.hpp) or the frame layout
 /// changes.  Old logs rotate aside and the campaign recomputes.
-inline constexpr std::uint32_t kStoreSchemaVersion = 1;
+inline constexpr std::uint32_t kStoreSchemaVersion = 2;
 
 /// Counters for --store-stats and the robustness tests.  hits/misses and
 /// byte counters accumulate over the store's lifetime; corrupt_records /

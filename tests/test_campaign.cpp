@@ -106,7 +106,7 @@ TEST(EngineCache, LeaseDropsWarmStateSoHistoryCannotLeak) {
   const ScenarioRun cold = fresh.run_isolated(s.fault, 0);
 
   ScenarioRunner warmed(s);
-  (void)warmed.run_once(1);  // leaves a warm Fiedler cache on some engine
+  (void)warmed.run_isolated(s.fault, 1);  // returns an engine with a warm Fiedler cache
   const ScenarioRun after_history = warmed.run_isolated(s.fault, 0);
   EXPECT_TRUE(cold.prune.survivors == after_history.prune.survivors);
   EXPECT_EQ(cold.prune.iterations, after_history.prune.iterations);
@@ -434,16 +434,24 @@ TEST(RunnerLease, ConstructionAndServedEpsilonLeaseNoGraph) {
   EXPECT_EQ(ScenarioRunner(s).epsilon(), 0.3);
   s.prune.epsilon = 0.0;
   ScenarioRunner served(s);
-  ASSERT_TRUE(served.needs_max_degree());
-  EXPECT_TRUE(served.set_max_degree(2));
-  EXPECT_FALSE(served.set_max_degree(3)) << "the first supplied value stays";
-  EXPECT_EQ(served.epsilon(), 0.25);
+  EXPECT_TRUE(served.set_alpha_epsilon(0.25, 0.125));
+  EXPECT_FALSE(served.set_alpha_epsilon(0.25, 0.0625)) << "the first supplied values stay";
+  EXPECT_EQ(served.epsilon(), 0.125) << "only the supplied value can say 0.125";
   EXPECT_EQ(g_counted_builds.load(), 0) << "no graph until a unit needs one";
 
+  s.prune.alpha = 0.0;  // measured
+  ScenarioRunner measuring(s);
+  EXPECT_TRUE(measuring.set_alpha_epsilon(0.375, 0.125));
+  EXPECT_EQ(measuring.alpha(), 0.375);
+  EXPECT_FALSE(measuring.measured_alpha()) << "a supplied alpha is not a measurement";
+  EXPECT_EQ(g_counted_builds.load(), 0);
+
+  s.prune.alpha = 0.25;
   ScenarioRunner read(s);
   EXPECT_EQ(read.epsilon(), 0.25) << "a cycle's max degree is 2";
   EXPECT_EQ(g_counted_builds.load(), 1);
-  EXPECT_FALSE(read.set_max_degree(7)) << "already read from the graph";
+  EXPECT_FALSE(read.set_alpha_epsilon(0.25, 0.125)) << "epsilon was already read from the graph";
+  EXPECT_EQ(read.epsilon(), 0.25);
   EXPECT_EQ(read.graph().num_vertices(), 24u);
   EXPECT_EQ(g_counted_builds.load(), 1);
 }

@@ -200,7 +200,7 @@ TEST(MetricsRegistry, CatalogPresetsCarryMetricRequests) {
 
 TEST(MetricsRegistry, RunnerProducesOneRecordPerRequestInOrder) {
   ScenarioRunner runner(metric_scenario());
-  const ScenarioRun run = runner.run_once(0);
+  const ScenarioRun run = runner.run_isolated(runner.scenario().fault, 0);
   ASSERT_EQ(run.metrics.size(), 3u);
   EXPECT_EQ(run.metrics[0].name, "mesh_span");
   EXPECT_EQ(run.metrics[1].name, "embedding_quality");
@@ -218,17 +218,18 @@ TEST(MetricsRegistry, RunnerProducesOneRecordPerRequestInOrder) {
 }
 
 TEST(MetricsRegistry, RecordsArePureFunctionsOfScenarioAndRep) {
+  const FaultSpec fault = metric_scenario().fault;
   ScenarioRunner a(metric_scenario());
   ScenarioRunner b(metric_scenario());
-  const ScenarioRun ra = a.run_once(1);
-  const ScenarioRun rb = b.run_isolated(metric_scenario().fault, 1);
+  const ScenarioRun ra = a.run_isolated(fault, 1);
+  const ScenarioRun rb = b.run_isolated(fault, 1);
   ASSERT_EQ(ra.metrics.size(), rb.metrics.size());
   for (std::size_t i = 0; i < ra.metrics.size(); ++i) {
     EXPECT_EQ(ra.metrics[i].payload, rb.metrics[i].payload) << ra.metrics[i].name;
   }
   // Different repetitions draw different metric seeds (sampled metrics
   // must not alias across reps).
-  const ScenarioRun r0 = a.run_once(0);
+  const ScenarioRun r0 = a.run_isolated(fault, 0);
   EXPECT_NE(r0.metrics[0].payload, ra.metrics[0].payload)
       << "rep 0 and rep 1 sampled identical compact sets — seed derivation collapsed";
 }
@@ -239,7 +240,7 @@ TEST(MetricsRegistry, MeshSpanRejectsNonMeshTopologies) {
   s.prune.alpha = 0.5;
   s.metrics.requests = {{"mesh_span", Params{}}};
   ScenarioRunner runner(s);
-  EXPECT_THROW((void)runner.run_once(0), PreconditionError);
+  EXPECT_THROW((void)runner.run_isolated(s.fault, 0), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +304,9 @@ TEST(MetricsDeterminismSlow, CampaignPayloadByteIdenticalWarmAndColdCache) {
   ScenarioRun run;
   run.alive = mask;
   run.prune.survivors = std::move(mask);
-  const MetricContext ctx{g, scenario, run, 0.5, 0.5, seed};
+  run.alpha = 0.5;
+  run.epsilon = 0.5;
+  const MetricContext ctx{g, scenario, run, seed};
   return MetricsRegistry::instance().compute(metric, ctx, params);
 }
 

@@ -79,16 +79,17 @@ TEST(ParallelRunner, RepetitionsAreBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelRunner, EngineCacheHistoryCannotLeakIntoCampaignRuns) {
-  // An engine with prior history (warm Fiedler cache from run_once) goes
-  // back to the idle pool when its runner dies; a campaign that leases it
-  // must still produce the cold-cache runs: every lease starts cold.
+  // An engine with prior history (warm Fiedler cache from an earlier run)
+  // goes back to the idle pool when its lease ends; a campaign that
+  // leases it must still produce the cold-cache runs: every lease starts
+  // cold.
   const Scenario s = parallel_scenario(true);
   EngineCache::instance().clear();
   const std::vector<ScenarioRun> fresh = run_entry(s, std::nullopt, 3).runs;
   EngineCache::instance().clear();
   {
     ScenarioRunner warmed(s);
-    (void)warmed.run_once(0);
+    (void)warmed.run_isolated(s.fault, 0);
   }
   const EngineCacheStats before = EngineCache::instance().stats();
   const std::vector<ScenarioRun> after_history = run_entry(s, std::nullopt, 1).runs;

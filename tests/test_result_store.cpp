@@ -5,9 +5,10 @@
 // tail rescans, and the campaign-level story — the deterministic payload
 // is byte-identical for disabled / cold / warm / mixed store state at
 // any thread count, and a killed-then-resumed campaign recomputes only
-// the missing cells.  Measured-α records: served with their exact bits,
-// keyed by every input α depends on, written once per plan, and every
-// unusable record degrades to measuring α again.
+// the missing cells.  α and ε in cell records: they round-trip with
+// their exact bits, the decoder rejects values no prune can use, a
+// partly served entry computes its missing cells with the served bits,
+// and the cells are the only records a campaign writes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,7 +17,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/campaign.hpp"
@@ -89,6 +92,8 @@ TEST(CellRecord, RoundTripsAComputedRunFieldForField) {
   EXPECT_EQ(d.prune.total_culled, run.prune.total_culled);
   EXPECT_EQ(d.prune.iterations, run.prune.iterations);
   // Doubles round-trip by bit pattern, not by formatting.
+  EXPECT_EQ(d.alpha, run.alpha);
+  EXPECT_EQ(d.epsilon, run.epsilon);
   EXPECT_EQ(d.threshold, run.threshold);
   EXPECT_EQ(d.millis, run.millis);
   EXPECT_EQ(d.fragmentation.largest, run.fragmentation.largest);
@@ -342,11 +347,6 @@ TEST(ResultStore, TwoStoresOnOneDirectoryDedupViaRefresh) {
 }
 
 constexpr std::uint64_t kStoreCampaignJobs = 6;  // 3 reps + 1 chain + 2 points
-// "reps" and "points" leave prune.alpha at 0, so each adds one α record.
-constexpr std::uint64_t kStoreCampaignAlphaRecords = 2;
-// "reps" (mesh 12) and "chain" (mesh 16) take the edge-expansion default
-// ε, so each adds one graph record; "points" prunes node expansion.
-constexpr std::uint64_t kStoreCampaignGraphRecords = 2;
 
 TEST(CampaignStore, PayloadIsByteIdenticalDisabledColdWarmAtAnyThreadCount) {
   const std::string dir = fresh_dir("campaign-payload");
@@ -421,9 +421,7 @@ TEST(CampaignStore, KilledCampaignResumesRecomputingOnlyMissingCells) {
   write_file(log_of(dir), bytes.substr(0, bytes.size() - 7));
 
   ResultStore store(dir);
-  EXPECT_EQ(store.stats().records,
-            kStoreCampaignJobs - 1u + kStoreCampaignAlphaRecords + kStoreCampaignGraphRecords)
-      << "every cell but the torn one, plus both alpha and both graph records";
+  EXPECT_EQ(store.stats().records, kStoreCampaignJobs - 1u) << "every cell but the torn one";
   const CampaignReport resumed = runner.run(2, &store);
   EXPECT_EQ(resumed.store.hits, kStoreCampaignJobs - 1u)
       << "every previously committed cell must be served from the store";
@@ -471,7 +469,7 @@ TEST(CampaignStore, TwoRunnersOnOneStoreDirDedup) {
 }
 
 // ---------------------------------------------------------------------------
-// Measured-α records
+// α and ε in cell records
 // ---------------------------------------------------------------------------
 
 /// One entry that measures α (prune.alpha = 0) over `repetitions` cells.
@@ -487,229 +485,6 @@ TEST(CampaignStore, TwoRunnersOnOneStoreDirDedup) {
   s.seed = 91;
   campaign.entries.push_back({s, std::nullopt});
   return campaign;
-}
-
-TEST(CellRecord, AlphaPayloadRoundTripsExactBitsAndDecodeIsTotal) {
-  for (const double alpha : {0.125, 1.0 / 3.0, std::nextafter(0.25, 1.0), 1e-300, 4.9e-324}) {
-    const auto decoded = decode_alpha(encode_alpha(alpha));
-    ASSERT_TRUE(decoded.has_value()) << encode_alpha(alpha);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(*decoded), std::bit_cast<std::uint64_t>(alpha));
-  }
-  for (const char* bad : {"", "garbage", "0x0p+0", "-0x1p-2", "0x1p-2 ", " 0x1p-2", "0x1p-2x",
-                          "0.25", "inf", "nan", "0x1p+2000"}) {
-    EXPECT_FALSE(decode_alpha(bad).has_value()) << "'" << bad << "' must not decode";
-  }
-}
-
-TEST(CellKey, AlphaKeyNamesEveryInputAlphaDependsOnAndNoOther) {
-  Scenario s = small_scenario();
-  s.prune.alpha = 0.0;
-  const std::string key = store_alpha_key(s);
-  EXPECT_EQ(key.find("fne-alpha|schema=1|"), 0u);
-  EXPECT_EQ(key, store_alpha_key(s)) << "keys are deterministic";
-  EXPECT_NE(key.find("|build_seed=" + std::to_string(scenario_build_seed(s)) + "|"),
-            std::string::npos);
-  EXPECT_NE(key.find("|bracket_seed=" + std::to_string(scenario_alpha_seed(s))),
-            std::string::npos);
-
-  // Each input α is measured from changes the key, and no two collide.
-  std::vector<Scenario> changed(5, s);
-  changed[0].topology.name = "torus";
-  changed[1].topology.params.set("side", std::string("11"));
-  changed[2].seed = 405;  // moves both the build seed and the bracket seed
-  changed[3].prune.kind = ExpansionKind::Node;
-  changed[4].metrics.bracket_exact_limit = 10;
-  std::vector<std::string> keys{key};
-  for (const Scenario& c : changed) keys.push_back(store_alpha_key(c));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
-  }
-
-  // Inputs the fault-free measurement never reads share one record.
-  Scenario same = s;
-  same.name = "another-entry";
-  same.fault.params.set("p", 0.3);
-  same.prune.epsilon = 0.25;
-  same.prune.fast = true;
-  same.repetitions = 7;
-  same.metrics.expansion = false;
-  same.metrics.verify_trace = false;
-  EXPECT_EQ(store_alpha_key(same), key);
-  EXPECT_NE(store_cell_key(s, s.fault, 0), key) << "alpha and cell keys never meet";
-
-  // Rewriting a file topology's CSR in place changes the key (the salt).
-  const std::string path = (fs::path(::testing::TempDir()) / "fne_store_alpha_key.csr").string();
-  CsrFile::write(path, Graph::from_edges(8, {{0, 1}, {1, 2}}));
-  Scenario file = s;
-  file.topology = {"file", Params{{"path", path}}};
-  const std::string file_key = store_alpha_key(file);
-  EXPECT_NE(file_key.find("|topo_salt=" + path + "#"), std::string::npos);
-  CsrFile::write(path, Graph::from_edges(8, {{0, 1}, {1, 2}, {2, 3}}));
-  EXPECT_NE(store_alpha_key(file), file_key) << "a rewritten graph must not reuse its alpha";
-}
-
-TEST(CampaignStore, PlantedAlphaRecordIsServedWithItsExactBits) {
-  const Campaign campaign = alpha_campaign(2);
-  const Scenario& s = campaign.entries[0].scenario;
-  const double measured = CampaignRunner(campaign).run(1).scenarios[0].alpha;
-  // One ulp above the measured value: only the record can have said it.
-  const double planted = std::nextafter(measured, 1.0);
-
-  ResultStore store(fresh_dir("alpha-planted"));
-  store.put(store_alpha_key(s), encode_alpha(planted));
-  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(report.store.alpha_measured, 0u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(report.scenarios[0].alpha),
-            std::bit_cast<std::uint64_t>(planted));
-  for (const ScenarioRun& run : report.scenarios[0].runs) {
-    EXPECT_EQ(run.threshold, planted * report.scenarios[0].epsilon)
-        << "the cells prune with the served alpha";
-  }
-  EXPECT_EQ(store.stats().records, 3u) << "two cells; the planted record is not rewritten";
-}
-
-TEST(CampaignStore, UnusableAlphaRecordsFallBackToMeasuring) {
-  const Campaign campaign = alpha_campaign(2);
-  const std::string reference = CampaignRunner(campaign).run(1).to_json(false);
-  const std::string key = store_alpha_key(campaign.entries[0].scenario);
-  int i = 0;
-  for (const char* bad : {"", "garbage", "0x0p+0", "-0x1p-3", "0.25", "nan", "0x1p-3 "}) {
-    SCOPED_TRACE(bad);
-    ResultStore store(fresh_dir("alpha-unusable-" + std::to_string(i++)));
-    store.put(key, bad);
-    const CampaignReport report = CampaignRunner(campaign).run(2, &store);
-    EXPECT_EQ(report.store.alpha_measured, 1u);
-    EXPECT_EQ(report.to_json(false), reference);
-  }
-}
-
-TEST(CampaignStore, CorruptAlphaRecordIsMeasuredAgainWhenEveryCellIsServed) {
-  const Campaign campaign = alpha_campaign(2);
-  const Scenario& s = campaign.entries[0].scenario;
-  const std::string dir = fresh_dir("alpha-corrupt");
-  std::string payload;
-  double alpha = 0.0;
-  {
-    ResultStore store(dir);
-    const CampaignReport cold = CampaignRunner(campaign).run(1, &store);
-    payload = cold.to_json(false);
-    alpha = cold.scenarios[0].alpha;
-  }
-  // At one thread the α record is the first frame (measured before the
-  // first cell commits): flip its payload's last byte.
-  const std::string key = store_alpha_key(s);
-  const std::size_t alpha_len = encode_alpha(alpha).size();
-  std::string bytes = read_file(log_of(dir));
-  const std::size_t flip = 16 + 24 + key.size() + alpha_len - 1;
-  ASSERT_EQ(bytes.compare(16 + 24, key.size(), key), 0) << "alpha record is not the first frame";
-  bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5A);
-  write_file(log_of(dir), bytes);
-
-  ResultStore store(dir);
-  EXPECT_EQ(store.stats().corrupt_records, 1u);
-  const CampaignReport served = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(served.store.hits, 2u);
-  EXPECT_EQ(served.store.misses, 0u);
-  EXPECT_EQ(served.store.alpha_measured, 1u) << "finish() measures the alpha no record served";
-  EXPECT_EQ(served.to_json(false), payload);
-  const CampaignReport healed = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(healed.store.alpha_measured, 0u) << "the remeasured alpha was committed";
-  EXPECT_EQ(healed.to_json(false), payload);
-}
-
-TEST(CampaignStore, ExplicitAlphaEntriesWriteNoAlphaRecord) {
-  Campaign campaign = alpha_campaign(3);
-  campaign.entries[0].scenario.prune.alpha = 0.25;
-  ResultStore store(fresh_dir("alpha-explicit"));
-  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(report.store.alpha_measured, 0u);
-  EXPECT_EQ(store.stats().records, 3u) << "the three cells only";
-  EXPECT_FALSE(store.contains(store_alpha_key(campaign.entries[0].scenario)));
-}
-
-TEST(CampaignStore, ConcurrentRepetitionsOfAMeasuringEntryWriteOneAlphaRecord) {
-  const Campaign campaign = alpha_campaign(6);
-  const std::string storeless = CampaignRunner(campaign).run(2).to_json(false);
-  ResultStore serial_store(fresh_dir("alpha-serial"));
-  const std::string serial = CampaignRunner(campaign).run(1, &serial_store).to_json(false);
-  EXPECT_EQ(serial, storeless);
-
-  ResultStore store(fresh_dir("alpha-concurrent"));
-  const CampaignReport cold = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(cold.store.misses, 6u);
-  EXPECT_EQ(cold.store.alpha_measured, 1u) << "six cells on two threads measure alpha once";
-  EXPECT_EQ(store.stats().records, 7u) << "six cells and one alpha record";
-  EXPECT_TRUE(store.contains(store_alpha_key(campaign.entries[0].scenario)));
-  EXPECT_EQ(cold.to_json(false), serial);
-
-  const CampaignReport warm = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(warm.store.hits, 6u);
-  EXPECT_EQ(warm.store.alpha_measured, 0u);
-  EXPECT_EQ(store.stats().records, 7u);
-  EXPECT_EQ(warm.to_json(false), serial);
-}
-
-TEST(CampaignStore, DisconnectedTopologyStillNeedsAnExplicitAlpha) {
-  // The mini_p2p fixture has 6 components, so its measured α is 0.
-  Campaign campaign;
-  campaign.name = "disconnected";
-  Scenario s;
-  s.name = "mini-p2p-measured";
-  s.topology = {"file", Params{{"path", std::string(FNE_REPO_DIR) + "/tests/data/mini_p2p.csr"}}};
-  s.fault = {"random", Params{{"p", "0.25"}}};
-  s.prune.kind = ExpansionKind::Edge;
-  s.repetitions = 3;
-  s.seed = 1404;
-  campaign.entries.push_back({s, std::nullopt});
-
-  const auto expect_alpha_error = [&](ResultStore* store) {
-    try {
-      (void)CampaignRunner(campaign).run(2, store);
-      ADD_FAILURE() << "a measured alpha of 0 must fail the run";
-    } catch (const PreconditionError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("'mini-p2p-measured'"), std::string::npos) << what;
-      EXPECT_NE(what.find("set prune.alpha explicitly"), std::string::npos) << what;
-    }
-  };
-  expect_alpha_error(nullptr);
-  ResultStore store(fresh_dir("alpha-disconnected"));
-  expect_alpha_error(&store);
-  EXPECT_EQ(store.stats().records, 0u) << "no cell and no alpha record";
-  EXPECT_FALSE(store.contains(store_alpha_key(s)));
-}
-
-// ---------------------------------------------------------------------------
-// Graph records and graph-free warm replay
-// ---------------------------------------------------------------------------
-
-TEST(CellRecord, GraphPayloadRoundTripsAndDecodeIsTotal) {
-  for (const vid degree : {vid{0}, vid{1}, vid{4}, vid{1000}, std::numeric_limits<vid>::max()}) {
-    const auto decoded = decode_max_degree(encode_max_degree(degree));
-    ASSERT_TRUE(decoded.has_value()) << encode_max_degree(degree);
-    EXPECT_EQ(*decoded, degree);
-  }
-  for (const char* bad : {"", "garbage", "-1", "+4", "04", "00", " 4", "4 ", "4x", "4.0", "0x4",
-                          "4294967296", "99999999999"}) {
-    EXPECT_FALSE(decode_max_degree(bad).has_value()) << "'" << bad << "' must not decode";
-  }
-}
-
-TEST(CellKey, GraphKeyNamesTheFaultFreeGraphAndNothingElse) {
-  const Scenario s = small_scenario();
-  const std::string key = store_graph_key(s);
-  EXPECT_EQ(key.find("fne-graph|schema=1|"), 0u);
-  EXPECT_NE(key.find("|build_seed=" + std::to_string(scenario_build_seed(s))), std::string::npos);
-  Scenario same = s;
-  same.fault.params.set("p", 0.3);
-  same.prune.kind = ExpansionKind::Node;
-  same.prune.alpha = 0.0;
-  same.metrics.bracket_exact_limit = 10;
-  EXPECT_EQ(store_graph_key(same), key) << "one record per fault-free graph";
-  Scenario other = s;
-  other.topology.params.set("side", std::string("11"));
-  EXPECT_NE(store_graph_key(other), key);
-  EXPECT_NE(store_graph_key(s), store_alpha_key(s)) << "graph and alpha keys never meet";
 }
 
 /// store_campaign() plus a salted `file` entry and an explicit-ε entry:
@@ -745,6 +520,252 @@ TEST(CellKey, GraphKeyNamesTheFaultFreeGraphAndNothingElse) {
   return campaign;
 }
 
+/// Every key in a store log, in frame order.  A frame is a 24-byte
+/// header (bytes 4-7: key length, 8-11: payload length, little-endian),
+/// then the key, then the payload; the log starts with a 16-byte header.
+[[nodiscard]] std::vector<std::string> log_keys(const std::string& dir) {
+  const std::string bytes = read_file(log_of(dir));
+  const auto u32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t b = 4; b-- > 0;) v = (v << 8) | static_cast<unsigned char>(bytes[at + b]);
+    return v;
+  };
+  std::vector<std::string> keys;
+  for (std::size_t off = 16; off + 24 <= bytes.size();) {
+    const std::uint32_t key_len = u32(off + 4);
+    keys.push_back(bytes.substr(off + 24, key_len));
+    off += 24 + key_len + u32(off + 8);
+  }
+  return keys;
+}
+
+[[nodiscard]] std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(CellRecord, AlphaAndEpsilonRoundTripWithTheirExactBits) {
+  ScenarioRunner runner(small_scenario());
+  ScenarioRun run = runner.run_isolated(runner.scenario().fault, 0);
+  EXPECT_EQ(run.alpha, 0.2);
+  EXPECT_EQ(run.epsilon, 0.125) << "the edge default 1/(2*4) on a 2-d mesh";
+  const std::pair<double, double> cases[] = {
+      {run.alpha, run.epsilon},
+      {1.0 / 3.0, std::nextafter(0.25, 1.0)},
+      {1e-300, 4.9e-324},
+      {4.9e-324, std::nextafter(1.0, 0.0)},
+      {std::numeric_limits<double>::max(), 0.5}};
+  for (const auto& [alpha, epsilon] : cases) {
+    run.alpha = alpha;
+    run.epsilon = epsilon;
+    const auto decoded = decode_runs(encode_runs({&run, 1}));
+    ASSERT_TRUE(decoded.has_value()) << alpha << " " << epsilon;
+    EXPECT_EQ(bits(decoded->front().alpha), bits(alpha));
+    EXPECT_EQ(bits(decoded->front().epsilon), bits(epsilon));
+  }
+}
+
+TEST(CellRecord, DecodeRejectsAnAlphaOrEpsilonNoPruneCanUse) {
+  ScenarioRunner runner(small_scenario());
+  const ScenarioRun good = runner.run_isolated(runner.scenario().fault, 0);
+  ASSERT_TRUE(decode_runs(encode_runs({&good, 1})).has_value());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double alpha : {nan, inf, -inf, 0.0, -0.0, -0.25}) {
+    ScenarioRun bad = good;
+    bad.alpha = alpha;
+    EXPECT_FALSE(decode_runs(encode_runs({&bad, 1})).has_value()) << "alpha " << alpha;
+    // One bad run rejects a whole chain record.
+    const std::vector<ScenarioRun> chain{good, bad};
+    EXPECT_FALSE(decode_runs(encode_runs(chain)).has_value()) << "alpha " << alpha;
+  }
+  for (const double epsilon : {nan, inf, -inf, 0.0, -0.0, -0.5, 1.0, 1.5}) {
+    ScenarioRun bad = good;
+    bad.epsilon = epsilon;
+    EXPECT_FALSE(decode_runs(encode_runs({&bad, 1})).has_value()) << "epsilon " << epsilon;
+  }
+}
+
+TEST(CellKey, NamesEveryInputAlphaAndEpsilonDependOn) {
+  // α is measured from the fault-free graph (topology, params, cache
+  // salt, build seed) with the kind, the bracket's exact-search limit and
+  // its seed; ε reads prune.epsilon, the kind and the graph's max degree.
+  // Each moves the cell key, so a served cell carries the α and ε its
+  // entry would compute.
+  Scenario s = small_scenario();
+  s.prune.alpha = 0.0;
+  const std::string key = store_cell_key(s, s.fault, 0);
+  EXPECT_NE(key.find("|build_seed=" + std::to_string(scenario_build_seed(s)) + "|"),
+            std::string::npos);
+  std::vector<Scenario> changed(7, s);
+  changed[0].topology.name = "torus";
+  changed[1].topology.params.set("side", std::string("11"));
+  changed[2].seed = 405;  // moves the build seed and the bracket seed
+  changed[3].prune.kind = ExpansionKind::Node;
+  changed[4].metrics.bracket_exact_limit = 10;
+  changed[5].prune.alpha = 0.25;
+  changed[6].prune.epsilon = 0.25;
+  std::vector<std::string> keys{key};
+  for (const Scenario& c : changed) keys.push_back(store_cell_key(c, c.fault, 0));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+  }
+
+  // Rewriting a file topology's CSR in place changes the key (the salt).
+  const std::string path = (fs::path(::testing::TempDir()) / "fne_store_cell_key_salt.csr").string();
+  CsrFile::write(path, Graph::from_edges(8, {{0, 1}, {1, 2}}));
+  Scenario file = s;
+  file.topology = {"file", Params{{"path", path}}};
+  const std::string file_key = store_cell_key(file, file.fault, 0);
+  EXPECT_NE(file_key.find("|topo_salt=" + path + "#"), std::string::npos);
+  CsrFile::write(path, Graph::from_edges(8, {{0, 1}, {1, 2}, {2, 3}}));
+  EXPECT_NE(store_cell_key(file, file.fault, 0), file_key)
+      << "a rewritten graph must not reuse its cells' alpha";
+}
+
+TEST(CellKey, FastModePrintsAllThreeFinderFields) {
+  Scenario s = small_scenario();
+  EXPECT_NE(store_cell_key(s, s.fault, 0).find(",warm:0,stale:0,early:0|"), std::string::npos);
+  s.prune.finder.fast = true;
+  EXPECT_NE(store_cell_key(s, s.fault, 0).find(",warm:1,stale:1,early:1|"), std::string::npos);
+}
+
+TEST(CampaignStore, PartlyServedEntryComputesItsMissingCellsWithTheServedBits) {
+  // Rep 0's cell is planted with an α and an ε one ulp off the values
+  // the entry measures and reads: only the record can have said them.
+  Campaign campaign = alpha_campaign(3);
+  Scenario& s = campaign.entries[0].scenario;
+  s.prune.kind = ExpansionKind::Edge;  // measured α and the default ε
+  ScenarioRun planted = CampaignRunner(campaign).run(1).scenarios[0].runs[0];
+  const double alpha = std::nextafter(planted.alpha, 1.0);
+  const double epsilon = std::nextafter(planted.epsilon, 0.0);
+  planted.alpha = alpha;
+  planted.epsilon = epsilon;
+
+  ResultStore store(fresh_dir("alpha-planted"));
+  store.put(store_cell_key(s, s.fault, 0), encode_runs({&planted, 1}));
+  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(report.store.hits, 1u);
+  EXPECT_EQ(report.store.misses, 2u);
+  EXPECT_EQ(report.store.alpha_measured, 0u);
+  EXPECT_EQ(bits(report.scenarios[0].alpha), bits(alpha));
+  EXPECT_EQ(bits(report.scenarios[0].epsilon), bits(epsilon));
+  for (const ScenarioRun& run : report.scenarios[0].runs) {
+    EXPECT_EQ(bits(run.alpha), bits(alpha));
+    EXPECT_EQ(bits(run.epsilon), bits(epsilon));
+  }
+  for (std::size_t r = 1; r < 3; ++r) {
+    EXPECT_EQ(report.scenarios[0].runs[r].threshold, alpha * epsilon)
+        << "the missing cells prune with the served bits";
+  }
+  EXPECT_EQ(store.stats().records, 3u) << "three cells; the planted one is not rewritten";
+}
+
+TEST(CampaignStore, CellWithUnusableAlphaOrEpsilonIsAMiss) {
+  const Campaign campaign = alpha_campaign(2);
+  const Scenario& s = campaign.entries[0].scenario;
+  const CampaignReport reference = CampaignRunner(campaign).run(1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> cases[] = {
+      {nan, 0.5}, {0.0, 0.5}, {-0.25, 0.5}, {std::numeric_limits<double>::infinity(), 0.5},
+      {0.25, 0.0}, {0.25, 1.0}, {0.25, nan}};
+  int i = 0;
+  for (const auto& [alpha, epsilon] : cases) {
+    SCOPED_TRACE(i);
+    ScenarioRun bad = reference.scenarios[0].runs[0];
+    bad.alpha = alpha;
+    bad.epsilon = epsilon;
+    ResultStore store(fresh_dir("alpha-unusable-" + std::to_string(i++)));
+    store.put(store_cell_key(s, s.fault, 0), encode_runs({&bad, 1}));
+    const CampaignReport report = CampaignRunner(campaign).run(2, &store);
+    EXPECT_EQ(report.store.hits, 0u);
+    EXPECT_EQ(report.store.alpha_measured, 1u);
+    EXPECT_EQ(report.to_json(false), reference.to_json(false));
+  }
+}
+
+TEST(CampaignStore, CorruptCellRecomputesWithTheAlphaAndEpsilonItsSiblingCarries) {
+  Campaign campaign = alpha_campaign(2);
+  campaign.entries[0].scenario.prune.kind = ExpansionKind::Edge;  // measured α, default ε
+  const std::string dir = fresh_dir("alpha-corrupt");
+  std::string payload;
+  {
+    ResultStore store(dir);
+    payload = CampaignRunner(campaign).run(1, &store).to_json(false);
+  }
+  ASSERT_EQ(log_keys(dir).size(), 2u);
+  // Flip the log's last byte: the second cell's checksum breaks.
+  std::string bytes = read_file(log_of(dir));
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x5A);
+  write_file(log_of(dir), bytes);
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.stats().corrupt_records, 1u);
+  const CampaignReport healed = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(healed.store.hits, 1u);
+  EXPECT_EQ(healed.store.misses, 1u);
+  EXPECT_EQ(healed.store.alpha_measured, 0u) << "the served sibling supplied alpha";
+  EXPECT_EQ(healed.to_json(false), payload);
+}
+
+TEST(CampaignStore, ColdCampaignWritesOnlyCellKeys) {
+  const Campaign campaign = graph_free_campaign();
+  const std::string dir = fresh_dir("cell-keys-only");
+  ResultStore store(dir);
+  const CampaignReport cold = CampaignRunner(campaign).run(2, &store);
+  const std::vector<std::string> keys = log_keys(dir);
+  EXPECT_EQ(keys.size(), cold.store.misses);
+  EXPECT_EQ(store.stats().records, cold.store.misses);
+  for (const std::string& key : keys) EXPECT_EQ(key.rfind("fne-cell|", 0), 0u) << key;
+}
+
+TEST(CampaignStore, ConcurrentRepetitionsOfAMeasuringEntryMeasureAlphaOnce) {
+  const Campaign campaign = alpha_campaign(6);
+  const std::string storeless = CampaignRunner(campaign).run(2).to_json(false);
+  ResultStore serial_store(fresh_dir("alpha-serial"));
+  const std::string serial = CampaignRunner(campaign).run(1, &serial_store).to_json(false);
+  EXPECT_EQ(serial, storeless);
+
+  ResultStore store(fresh_dir("alpha-concurrent"));
+  const CampaignReport cold = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(cold.store.misses, 6u);
+  EXPECT_EQ(cold.store.alpha_measured, 1u) << "six cells on two threads measure alpha once";
+  EXPECT_EQ(store.stats().records, 6u) << "the six cells and nothing else";
+  EXPECT_EQ(cold.to_json(false), serial);
+
+  const CampaignReport warm = CampaignRunner(campaign).run(2, &store);
+  EXPECT_EQ(warm.store.hits, 6u);
+  EXPECT_EQ(warm.store.alpha_measured, 0u);
+  EXPECT_EQ(store.stats().records, 6u);
+  EXPECT_EQ(warm.to_json(false), serial);
+}
+
+TEST(CampaignStore, DisconnectedTopologyStillNeedsAnExplicitAlpha) {
+  // The mini_p2p fixture has 6 components, so its measured α is 0.
+  Campaign campaign;
+  campaign.name = "disconnected";
+  Scenario s;
+  s.name = "mini-p2p-measured";
+  s.topology = {"file", Params{{"path", std::string(FNE_REPO_DIR) + "/tests/data/mini_p2p.csr"}}};
+  s.fault = {"random", Params{{"p", "0.25"}}};
+  s.prune.kind = ExpansionKind::Edge;
+  s.repetitions = 3;
+  s.seed = 1404;
+  campaign.entries.push_back({s, std::nullopt});
+
+  const auto expect_alpha_error = [&](ResultStore* store) {
+    try {
+      (void)CampaignRunner(campaign).run(2, store);
+      ADD_FAILURE() << "a measured alpha of 0 must fail the run";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'mini-p2p-measured'"), std::string::npos) << what;
+      EXPECT_NE(what.find("set prune.alpha explicitly"), std::string::npos) << what;
+    }
+  };
+  expect_alpha_error(nullptr);
+  ResultStore store(fresh_dir("alpha-disconnected"));
+  expect_alpha_error(&store);
+  EXPECT_EQ(store.stats().records, 0u) << "no cell was committed";
+}
+
 TEST(CampaignStore, WarmRunBuildsNoGraph) {
   const Campaign campaign = graph_free_campaign();
   const std::string storeless = CampaignRunner(campaign).run(2).to_json(false);
@@ -754,15 +775,6 @@ TEST(CampaignStore, WarmRunBuildsNoGraph) {
   const CampaignReport cold = CampaignRunner(campaign).run(2, &store);
   EXPECT_GT(cold.cache.graph_builds, 0u);
   EXPECT_EQ(cold.to_json(false), storeless);
-  // reps, chain and file read the max degree; points prunes node
-  // expansion and explicit-epsilon names its ε.
-  for (std::size_t e = 0; e < campaign.entries.size(); ++e) {
-    const Scenario& s = campaign.entries[e].scenario;
-    EXPECT_EQ(store.contains(store_graph_key(s)),
-              s.prune.kind == ExpansionKind::Edge && s.prune.epsilon <= 0.0)
-        << s.name;
-  }
-  EXPECT_NE(store_graph_key(campaign.entries[3].scenario).find("|topo_salt="), std::string::npos);
 
   for (const int threads : {1, 2}) {
     SCOPED_TRACE(threads);
@@ -777,57 +789,32 @@ TEST(CampaignStore, WarmRunBuildsNoGraph) {
   }
 }
 
-TEST(CampaignStore, PlantedGraphRecordSetsTheDefaultEpsilon) {
-  const Campaign campaign = store_campaign();
-  const Scenario& chain = campaign.entries[1].scenario;  // mesh 16, max degree 4
-  ResultStore store(fresh_dir("graph-planted"));
-  store.put(store_graph_key(chain), encode_max_degree(8));
-  const CampaignReport report = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(report.scenarios[1].epsilon, 1.0 / 16.0) << "only the record can have said 8";
-  EXPECT_EQ(report.scenarios[0].epsilon, 1.0 / 8.0) << "mesh 12 was read from its graph";
-  for (const ScenarioRun& run : report.scenarios[1].runs) {
-    EXPECT_EQ(run.threshold, chain.prune.alpha / 16.0) << "the cells prune with the served ε";
+TEST(CampaignStore, PlanFedDecodedCellsFinishesWithoutGraphOrAlpha) {
+  // A dist coordinator's position: every cell arrives as encoded runs
+  // computed elsewhere.  finish must take α and ε from them, leasing no
+  // graph and measuring nothing, and match the computing plan's payload.
+  const Campaign campaign = graph_free_campaign();
+  CampaignPlan computing(campaign, 1);
+  CampaignPlan fed(campaign, 1);
+  ResultStore store(fresh_dir("plan-fed"));
+  ASSERT_EQ(fed.attach_store(store), 0u);
+  for (std::size_t i = 0; i < computing.num_jobs(); ++i) {
+    ASSERT_NE(computing.job(i).kind, CampaignJob::Kind::kMetric);
+    std::vector<ScenarioRun> runs = computing.compute_cell(i);
+    std::optional<std::vector<ScenarioRun>> received = decode_runs(encode_runs(runs));
+    ASSERT_TRUE(received.has_value());
+    ASSERT_TRUE(computing.accept_cell(i, std::move(runs)));
+    ASSERT_TRUE(fed.accept_cell(i, std::move(*received)));
   }
-}
+  const std::string expected = computing.finish(1, 0.0, EngineCacheStats{}).to_json(false);
 
-TEST(CampaignStore, CorruptGraphRecordIsRebuiltAndRecommitted) {
-  Campaign campaign = alpha_campaign(2);
-  Scenario& s = campaign.entries[0].scenario;
-  s.topology = {"mesh", Params{{"side", "10"}, {"dims", "2"}}};
-  s.prune.kind = ExpansionKind::Edge;
-  s.prune.alpha = 0.2;  // explicit: the graph record is the only non-cell record
-  const std::string dir = fresh_dir("graph-corrupt");
-  std::string payload;
-  {
-    ResultStore store(dir);
-    payload = CampaignRunner(campaign).run(1, &store).to_json(false);
-  }
-  // The graph record is the first frame (read before the first cell
-  // commits): flip its payload's last byte.
-  const std::string key = store_graph_key(s);
-  const std::size_t degree_len = encode_max_degree(4).size();
-  std::string bytes = read_file(log_of(dir));
-  ASSERT_EQ(bytes.compare(16 + 24, key.size(), key), 0) << "graph record is not the first frame";
-  const std::size_t flip = 16 + 24 + key.size() + degree_len - 1;
-  bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5A);
-  write_file(log_of(dir), bytes);
-
-  ResultStore store(dir);
-  EXPECT_EQ(store.stats().corrupt_records, 1u);
-  EXPECT_FALSE(store.contains(key));
-  EngineCache::instance().clear();
-  const CampaignReport served = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(served.store.hits, 2u);
-  EXPECT_EQ(served.store.misses, 0u);
-  EXPECT_EQ(served.cache.graph_builds, 1u) << "finish() leases the graph no record served";
-  EXPECT_EQ(served.to_json(false), payload);
-  EXPECT_TRUE(store.contains(key)) << "the max degree was committed again";
-  EXPECT_EQ(store.load(key).value_or(""), encode_max_degree(4));
-
-  EngineCache::instance().clear();
-  const CampaignReport healed = CampaignRunner(campaign).run(2, &store);
-  EXPECT_EQ(healed.cache.graph_builds, 0u);
-  EXPECT_EQ(healed.to_json(false), payload);
+  const EngineCacheStats before = EngineCache::instance().stats();
+  const CampaignReport report = fed.finish(1, 0.0, EngineCacheStats{});
+  const EngineCacheStats after = EngineCache::instance().stats();
+  EXPECT_EQ(after.graph_hits + after.graph_builds, before.graph_hits + before.graph_builds)
+      << "finish leases no graph";
+  EXPECT_EQ(report.store.alpha_measured, 0u);
+  EXPECT_EQ(report.to_json(false), expected);
 }
 
 TEST(ResultStore, CorruptFrameThenGoodCopyIndexesTheGoodCopy) {

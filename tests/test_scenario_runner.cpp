@@ -86,7 +86,7 @@ TEST(ScenarioRunner, DeterministicModeIsBitIdenticalToTheStatelessReference) {
   // DESIGN.md §5, now reachable through the scenario layer).
   const Scenario s = culling_scenario();
   ScenarioRunner runner(s);
-  const ScenarioRun run = runner.run_once(0);
+  const ScenarioRun run = runner.run_isolated(s.fault, 0);
 
   Prune2Options popts;
   popts.finder.seed = run.finder_seed;
@@ -150,16 +150,17 @@ TEST(ScenarioRunner, ChurnRoundsPruneThroughThePersistentEngine) {
   copts.p_leave = 0.08;
   copts.p_join = 0.2;
   copts.seed = 77;
-  const EngineStats before = runner.engine_stats();
   const ChurnRunTrace trace = runner.run_churn(copts);
-  const EngineStats after = runner.engine_stats();
 
-  // One engine run per round, all on the same engine instance.
-  EXPECT_EQ(after.runs - before.runs, static_cast<std::uint64_t>(copts.steps));
+  // One engine run per round, all on the call's one engine.
+  EXPECT_EQ(trace.engine.runs, static_cast<std::uint64_t>(copts.steps));
+  std::uint64_t iterations = 0;
   for (const ChurnRoundRun& r : trace.rounds) {
     EXPECT_LE(r.survivors, r.churn.alive_count);
     EXPECT_EQ(r.survivors + r.culled, r.churn.alive_count);
+    iterations += static_cast<std::uint64_t>(r.iterations);
   }
+  EXPECT_EQ(trace.engine.iterations, iterations);
   // The last round's survivors must match pruning its alive mask from
   // scratch in deterministic mode (engine == stateless reference).
   Prune2Options popts;
@@ -178,10 +179,12 @@ TEST(ScenarioRunner, EngineStatsAccumulateAcrossRuns) {
   EXPECT_EQ(st.runs, 3u);
   EXPECT_GT(st.eigensolves + st.stale_sweep_hits, 0u);
   EXPECT_LE(st.stale_sweep_hits, st.stale_sweeps);
-  // Single-shot path: the primary lease accumulates across run_once calls.
+  // Direct path: each run reports its own work, which sums to the fold.
   ScenarioRunner runner(s);
-  for (int rep = 0; rep < 3; ++rep) (void)runner.run_once(rep);
-  EXPECT_EQ(runner.engine_stats().runs, 3u);
+  EngineStats direct;
+  for (int rep = 0; rep < 3; ++rep) direct += runner.run_isolated(s.fault, rep).engine;
+  EXPECT_EQ(direct.runs, 3u);
+  EXPECT_EQ(direct.iterations, st.iterations);
 }
 
 TEST(ScenarioRunner, RunsTableHasOneRowPerRunAndLabelsSweepPoints) {
